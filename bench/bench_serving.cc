@@ -93,7 +93,6 @@ void RunBundleLoad(BenchReporter& reporter, const Dataset& data) {
   RandomForestOptions options;
   options.num_trees = 200;
   options.max_depth = 8;
-  options.split_method = SplitMethod::kHistogram;
   FeatureEncoder encoder;
   encoder.Fit(data);
   const Matrix X = encoder.Transform(data);

@@ -1,6 +1,6 @@
-// Tree-training benchmark for the histogram split path (DESIGN.md §11):
-//   1. exact vs histogram fit time for CART and GBDT at several n and bin
-//      counts (the O(features * n log n) -> O(features * bins) claim),
+// Tree-training benchmark for histogram split search (DESIGN.md §11):
+//   1. CART and GBDT fit time against row count (split search is
+//      O(features * bins) per node; only histogram fills scale with n),
 //   2. binning amortization: a cold fit pays for BinnedMatrix::Build once,
 //      every warm refit with new example weights reuses it,
 //   3. a grid-search run on a histogram GBDT, confirming the tuner's
@@ -62,7 +62,7 @@ int main() {
   const size_t rows = EnvRows(30000);
 
   BenchReporter reporter("tree_build",
-                         "Histogram vs exact tree training and binning reuse");
+                         "Histogram tree training time and binning reuse");
   reporter.Config("rows", rows);
 
   SyntheticOptions data_options;
@@ -78,66 +78,30 @@ int main() {
   const std::vector<int>& y = (*problem)->train().labels();
   reporter.Config("features", X.cols());
 
-  // --- 1. exact vs histogram fit time at several n and bin counts --------
-  PrintHeader("tree build: exact vs histogram");
-  std::printf("%-6s %8s %10s %12s %12s %9s\n", "family", "rows", "bins",
-              "exact_s", "hist_s", "speedup");
+  // --- 1. fit time against row count ------------------------------------
+  PrintHeader("tree build: fit time against rows");
+  std::printf("%-6s %8s %12s\n", "family", "rows", "fit_s");
   const std::vector<size_t> sizes = {X.rows() / 4, X.rows() / 2, X.rows()};
-  const std::vector<int> bin_counts = {32, 255};
   for (size_t n : sizes) {
     if (n < 8) continue;
     const EncodedData subset = Subset(X, y, n);
     const std::vector<double> weights(n, 1.0);
 
-    // CART: moderate depth so the exact fit stays bench-scale at 30k rows.
-    DecisionTreeOptions dt_exact;
-    dt_exact.max_depth = 6;
-    const double dt_exact_seconds = [&] {
-      DecisionTreeTrainer trainer(dt_exact);
-      return TimeFit(trainer, subset, weights);
-    }();
-    // GBDT: few rounds — the exact/histogram ratio is per-round anyway.
-    GbdtOptions xgb_exact;
-    xgb_exact.num_rounds = 8;
-    const double xgb_exact_seconds = [&] {
-      GbdtTrainer trainer(xgb_exact);
-      return TimeFit(trainer, subset, weights);
-    }();
-
-    for (int bins : bin_counts) {
-      DecisionTreeOptions dt_hist = dt_exact;
-      dt_hist.split_method = SplitMethod::kHistogram;
-      dt_hist.max_bins = bins;
-      DecisionTreeTrainer dt_trainer(dt_hist);
-      const double dt_hist_seconds = TimeFit(dt_trainer, subset, weights);
-
-      GbdtOptions xgb_hist = xgb_exact;
-      xgb_hist.split_method = SplitMethod::kHistogram;
-      xgb_hist.max_bins = bins;
-      GbdtTrainer xgb_trainer(xgb_hist);
-      const double xgb_hist_seconds = TimeFit(xgb_trainer, subset, weights);
-
-      std::printf("%-6s %8zu %10d %12.4f %12.4f %8.2fx\n", "dt", n, bins,
-                  dt_exact_seconds, dt_hist_seconds,
-                  dt_exact_seconds / dt_hist_seconds);
-      std::printf("%-6s %8zu %10d %12.4f %12.4f %8.2fx\n", "xgb", n, bins,
-                  xgb_exact_seconds, xgb_hist_seconds,
-                  xgb_exact_seconds / xgb_hist_seconds);
+    auto report = [&](const char* family, double seconds) {
+      std::printf("%-6s %8zu %12.4f\n", family, n, seconds);
       reporter.AddRow("tree_build")
-          .Label("family", "dt")
-          .Label("bins", std::to_string(bins))
+          .Label("family", family)
           .Value("rows", static_cast<double>(n))
-          .Value("exact_seconds", dt_exact_seconds)
-          .Value("hist_seconds", dt_hist_seconds)
-          .Value("speedup", dt_exact_seconds / dt_hist_seconds);
-      reporter.AddRow("tree_build")
-          .Label("family", "xgb")
-          .Label("bins", std::to_string(bins))
-          .Value("rows", static_cast<double>(n))
-          .Value("exact_seconds", xgb_exact_seconds)
-          .Value("hist_seconds", xgb_hist_seconds)
-          .Value("speedup", xgb_exact_seconds / xgb_hist_seconds);
-    }
+          .Value("fit_seconds", seconds);
+    };
+    DecisionTreeOptions dt_options;
+    dt_options.max_depth = 6;
+    DecisionTreeTrainer dt_trainer(dt_options);
+    report("dt", TimeFit(dt_trainer, subset, weights));
+    GbdtOptions xgb_options;
+    xgb_options.num_rounds = 8;
+    GbdtTrainer xgb_trainer(xgb_options);
+    report("xgb", TimeFit(xgb_trainer, subset, weights));
   }
 
   // --- 2. binning amortization: cold fit vs warm refits ------------------
@@ -146,7 +110,6 @@ int main() {
     const EncodedData full = Subset(X, y, X.rows());
     GbdtOptions options;
     options.num_rounds = 8;
-    options.split_method = SplitMethod::kHistogram;
     GbdtTrainer trainer(options);
 
     std::vector<double> weights(full.X.rows(), 1.0);
@@ -169,12 +132,11 @@ int main() {
         .Value("bins_reused", static_cast<double>(reused));
   }
 
-  // --- 3. grid search on a histogram GBDT shares one binning -------------
+  // --- 3. grid search on a GBDT shares one binning -----------------------
   PrintHeader("grid search reuse (per-clone fits share the BinningCache)");
   {
     GbdtOptions options;
     options.num_rounds = 4;
-    options.split_method = SplitMethod::kHistogram;
     GbdtTrainer trainer(options);
     auto grid_problem = FairnessProblem::Create(
         data, data, {MakeSpec(MainGroups("adult"), "sp", 0.05)}, &trainer);

@@ -191,6 +191,10 @@ std::unique_ptr<FairnessMetric> MakeMetricByName(const std::string& name) {
   return nullptr;
 }
 
+std::vector<std::string> MetricNames() {
+  return {"sp", "mr", "fpr", "fnr", "for", "fdr"};
+}
+
 MetricCoefficients AverageErrorCostMetric::Coefficients(
     const Dataset& dataset, const std::vector<size_t>& group,
     const std::vector<int>*) const {

@@ -62,8 +62,13 @@ enum class MetricKind {
 /// Factory for the built-in metrics.
 std::unique_ptr<FairnessMetric> MakeMetric(MetricKind kind);
 
-/// Factory by short name: "sp", "mr", "fpr", "fnr", "for", "fdr".
+/// Factory by short name: "sp", "mr", "fpr", "fnr", "for", "fdr". Aborts on
+/// unknown names (programmer error); callers holding user input check it
+/// against MetricNames() first.
 std::unique_ptr<FairnessMetric> MakeMetricByName(const std::string& name);
+
+/// Every name MakeMetricByName accepts.
+std::vector<std::string> MetricNames();
 
 /// The customized Average Error Cost metric of Example 4 / Appendix A:
 ///   f(h,g) = (C_fp * #FP + C_fn * #FN) / |g|.

@@ -139,10 +139,8 @@ std::shared_ptr<const BinnedMatrix> BinnedMatrix::Build(const Matrix& X,
   return binned;
 }
 
-bool BinnedMatrix::Matches(const Matrix& X, int max_bins) const {
-  return rows_ == X.rows() && cols_ == X.cols() &&
-         max_bins_ == std::clamp(max_bins, 2, kMaxBins) &&
-         source_data_ == X.RawData() &&
+bool BinnedMatrix::Matches(const Matrix& X) const {
+  return rows_ == X.rows() && cols_ == X.cols() && source_data_ == X.RawData() &&
          fingerprint_ == FingerprintMatrix(X);
 }
 
@@ -222,14 +220,13 @@ void NodeHistogram::SubtractSibling(const NodeHistogram& smaller) {
 }
 
 std::shared_ptr<const BinnedMatrix> BinningCache::GetOrBuild(const Matrix& X,
-                                                             int max_bins,
                                                              int num_threads) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (cached_ != nullptr && cached_->Matches(X, max_bins)) {
+  if (cached_ != nullptr && cached_->Matches(X)) {
     OF_COUNTER_INC("tree.bins_reused");
     return cached_;
   }
-  cached_ = BinnedMatrix::Build(X, max_bins, num_threads);
+  cached_ = BinnedMatrix::Build(X, BinnedMatrix::kMaxBins, num_threads);
   return cached_;
 }
 

@@ -10,20 +10,13 @@
 
 namespace omnifair {
 
-/// How a tree builder searches for splits (DESIGN.md §11):
-///   kExact     - per-node sort of every feature, O(features * n log n) per
-///                node. The seed behavior; thresholds are midpoints between
-///                adjacent example values present in the node.
-///   kHistogram - LightGBM-style: each feature is pre-quantized into at most
-///                255 bins once per feature matrix, split search scans bin
-///                histograms in O(features * bins) per node, and children
-///                reuse the parent histogram via subtraction. Thresholds are
-///                still real doubles (midpoints of adjacent bin edges), so
-///                prediction and serialization are unchanged.
-enum class SplitMethod { kExact = 0, kHistogram = 1 };
-
-/// A feature matrix pre-quantized for histogram split search. Immutable once
-/// built; safe to share across threads, trees, and trainer clones.
+/// A feature matrix pre-quantized for histogram split search, the only split
+/// search the tree learners use (DESIGN.md §11): each feature is binned once
+/// per feature matrix, split search scans bin histograms in
+/// O(features * bins) per node, and children reuse the parent histogram via
+/// subtraction. Thresholds are still real doubles (midpoints of adjacent bin
+/// edges), so prediction and serialization never see the bins. Immutable
+/// once built; safe to share across threads, trees, and trainer clones.
 ///
 /// Binning is a pure function of X (each row counts once — unit-weight
 /// quantiles), NOT of the example weights, so one BinnedMatrix serves every
@@ -35,10 +28,11 @@ class BinnedMatrix {
   static constexpr int kMaxBins = 255;
 
   /// Quantile-bins every column of X into at most `max_bins` bins
-  /// (clamped to [2, kMaxBins]). Columns are binned independently — in
-  /// parallel on the shared pool when `num_threads` > 1 — and each column is
-  /// coded by a single serial scan, so the result is bit-identical for any
-  /// thread count.
+  /// (clamped to [2, kMaxBins]). Trainers always bin at kMaxBins; the
+  /// argument exists for tests of the quantile coding itself. Columns are
+  /// binned independently — in parallel on the shared pool when
+  /// `num_threads` > 1 — and each column is coded by a single serial scan,
+  /// so the result is bit-identical for any thread count.
   static std::shared_ptr<const BinnedMatrix> Build(const Matrix& X,
                                                    int max_bins,
                                                    int num_threads = 1);
@@ -69,9 +63,9 @@ class BinnedMatrix {
   }
 
   /// Whether this binning was built from a matrix indistinguishable from X
-  /// at the requested resolution (same storage, shape, sampled contents,
-  /// and max_bins). Used by BinningCache to validate reuse.
-  bool Matches(const Matrix& X, int max_bins) const;
+  /// (same storage, shape, and sampled contents). Used by BinningCache and
+  /// the trainers to validate reuse.
+  bool Matches(const Matrix& X) const;
 
  private:
   BinnedMatrix() = default;
@@ -121,14 +115,15 @@ void FillNodeHistogram(const BinnedMatrix& binned,
                        const double* stat_a, const double* stat_b,
                        int num_threads, NodeHistogram* hist);
 
-/// Thread-safe memo of the most recent BinnedMatrix. A trainer and all of
-/// its Clone()s share one cache (a shared_ptr member copied on Clone), so a
-/// tuning run that fits dozens of clones on the same X bins it exactly once:
-/// the first fit builds (recorded in the `tree.hist_build_us` histogram),
-/// every later fit reuses (counted by `tree.bins_reused`).
+/// Thread-safe memo of the most recent BinnedMatrix, binned at kMaxBins. A
+/// trainer and all of its Clone()s share one cache (a shared_ptr member
+/// copied on Clone), so a tuning run that fits dozens of clones on the same
+/// X bins it exactly once: the first fit builds (recorded in the
+/// `tree.hist_build_us` histogram), every later fit reuses (counted by
+/// `tree.bins_reused`).
 class BinningCache {
  public:
-  std::shared_ptr<const BinnedMatrix> GetOrBuild(const Matrix& X, int max_bins,
+  std::shared_ptr<const BinnedMatrix> GetOrBuild(const Matrix& X,
                                                  int num_threads);
 
  private:

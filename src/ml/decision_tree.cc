@@ -16,7 +16,7 @@ struct SplitCandidate {
   size_t feature = 0;
   double threshold = 0.0;
   double impurity_decrease = 0.0;
-  /// Histogram mode only: split sends codes <= bin to the left child.
+  /// The split sends codes <= bin to the left child.
   int bin = -1;
 };
 
@@ -26,147 +26,18 @@ double GiniImpurity(double w_pos, double w_total) {
   return 2.0 * p * (1.0 - p);
 }
 
+/// Histogram split search (DESIGN.md §11): each node scans per-feature bin
+/// histograms, and each split rescans only the smaller child (the larger
+/// child's histogram is parent minus sibling). Candidate thresholds are the
+/// bin boundaries of the full X; with at most kMaxBins distinct values per
+/// feature that is every midpoint between adjacent values, so the chosen
+/// split is the greedy Gini optimum (test_decision_tree.cc checks this).
 class TreeBuilder {
  public:
-  TreeBuilder(const Matrix& X, const std::vector<int>& y,
-              const std::vector<double>& weights, const DecisionTreeOptions& options)
-      : X_(X), y_(y), weights_(weights), options_(options), rng_(options.seed) {}
-
-  std::vector<DecisionTreeModel::Node> Build() {
-    std::vector<size_t> all(X_.rows());
-    std::iota(all.begin(), all.end(), 0);
-    BuildNode(std::move(all), /*depth=*/0);
-    return std::move(nodes_);
-  }
-
- private:
-  int BuildNode(std::vector<size_t> samples, int depth) {
-    double w_total = 0.0;
-    double w_pos = 0.0;
-    for (size_t i : samples) {
-      w_total += weights_[i];
-      if (y_[i] == 1) w_pos += weights_[i];
-    }
-
-    const int node_index = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-    nodes_[node_index].probability = w_total > 0.0 ? w_pos / w_total : 0.5;
-
-    const bool pure = w_pos <= 1e-12 || w_total - w_pos <= 1e-12;
-    if (depth >= options_.max_depth || pure || w_total < options_.min_weight_split ||
-        samples.size() < 2) {
-      return node_index;
-    }
-
-    const SplitCandidate split = FindBestSplit(samples, w_pos, w_total);
-    if (!split.found) return node_index;
-
-    std::vector<size_t> left_samples;
-    std::vector<size_t> right_samples;
-    left_samples.reserve(samples.size());
-    right_samples.reserve(samples.size());
-    for (size_t i : samples) {
-      if (X_(i, split.feature) <= split.threshold) {
-        left_samples.push_back(i);
-      } else {
-        right_samples.push_back(i);
-      }
-    }
-    if (left_samples.empty() || right_samples.empty()) return node_index;
-    samples.clear();
-    samples.shrink_to_fit();
-
-    const int left = BuildNode(std::move(left_samples), depth + 1);
-    const int right = BuildNode(std::move(right_samples), depth + 1);
-    nodes_[node_index].is_leaf = false;
-    nodes_[node_index].feature = static_cast<int>(split.feature);
-    nodes_[node_index].threshold = split.threshold;
-    nodes_[node_index].left = left;
-    nodes_[node_index].right = right;
-    return node_index;
-  }
-
-  SplitCandidate FindBestSplit(const std::vector<size_t>& samples, double w_pos,
-                               double w_total) {
-    const double parent_impurity = GiniImpurity(w_pos, w_total);
-    SplitCandidate best;
-
-    features_.resize(X_.cols());
-    std::iota(features_.begin(), features_.end(), 0);
-    size_t num_features = features_.size();
-    if (options_.max_features > 0 && options_.max_features < num_features) {
-      // Fisher-Yates prefix for a random feature subset.
-      for (size_t i = 0; i < options_.max_features; ++i) {
-        const size_t j = i + rng_.NextBounded(num_features - i);
-        std::swap(features_[i], features_[j]);
-      }
-      num_features = options_.max_features;
-    }
-
-    order_.assign(samples.begin(), samples.end());
-    for (size_t f_idx = 0; f_idx < num_features; ++f_idx) {
-      const size_t feature = features_[f_idx];
-      std::sort(order_.begin(), order_.end(), [this, feature](size_t a, size_t b) {
-        return X_(a, feature) < X_(b, feature);
-      });
-
-      double left_total = 0.0;
-      double left_pos = 0.0;
-      for (size_t k = 0; k + 1 < order_.size(); ++k) {
-        const size_t i = order_[k];
-        left_total += weights_[i];
-        if (y_[i] == 1) left_pos += weights_[i];
-        const double value = X_(i, feature);
-        const double next_value = X_(order_[k + 1], feature);
-        if (next_value <= value) continue;  // no boundary between equal values
-
-        const double right_total = w_total - left_total;
-        const double right_pos = w_pos - left_pos;
-        if (left_total < options_.min_weight_leaf ||
-            right_total < options_.min_weight_leaf) {
-          continue;
-        }
-        const double weighted_child_impurity =
-            (left_total * GiniImpurity(left_pos, left_total) +
-             right_total * GiniImpurity(right_pos, right_total)) /
-            w_total;
-        const double decrease = parent_impurity - weighted_child_impurity;
-        if (decrease > best.impurity_decrease + 1e-12) {
-          best.found = true;
-          best.feature = feature;
-          best.threshold = 0.5 * (value + next_value);
-          best.impurity_decrease = decrease;
-        }
-      }
-    }
-    return best;
-  }
-
-  const Matrix& X_;
-  const std::vector<int>& y_;
-  const std::vector<double>& weights_;
-  const DecisionTreeOptions& options_;
-  Rng rng_;
-  std::vector<DecisionTreeModel::Node> nodes_;
-  /// Per-node scratch, hoisted so split search does not allocate per node.
-  std::vector<size_t> features_;
-  std::vector<size_t> order_;
-};
-
-/// Histogram-mode builder (DESIGN.md §11): split search scans per-feature
-/// bin histograms instead of sorting, and each split rescans only the
-/// smaller child (the larger child's histogram is parent minus sibling).
-/// Stopping rules, impurity arithmetic, and tie-breaking mirror TreeBuilder;
-/// only the candidate threshold set differs (bin boundaries of the full X
-/// instead of midpoints of node-local values).
-class HistTreeBuilder {
- public:
-  HistTreeBuilder(const Matrix& X, const std::vector<int>& y,
-                  const std::vector<double>& weights,
-                  const DecisionTreeOptions& options,
-                  std::shared_ptr<const BinnedMatrix> binned)
-      : X_(X),
-        y_(y),
+  TreeBuilder(const std::vector<int>& y, const std::vector<double>& weights,
+              const DecisionTreeOptions& options,
+              std::shared_ptr<const BinnedMatrix> binned)
+      : y_(y),
         weights_(weights),
         options_(options),
         binned_(std::move(binned)),
@@ -179,7 +50,7 @@ class HistTreeBuilder {
   }
 
   std::vector<DecisionTreeModel::Node> Build() {
-    std::vector<size_t> all(X_.rows());
+    std::vector<size_t> all(binned_->rows());
     std::iota(all.begin(), all.end(), 0);
     NodeHistogram root;
     FillNodeHistogram(*binned_, all, weights_.data(), pos_weights_.data(),
@@ -253,10 +124,11 @@ class HistTreeBuilder {
     const double parent_impurity = GiniImpurity(w_pos, w_total);
     SplitCandidate best;
 
-    features_.resize(X_.cols());
+    features_.resize(binned_->cols());
     std::iota(features_.begin(), features_.end(), 0);
     size_t num_features = features_.size();
     if (options_.max_features > 0 && options_.max_features < num_features) {
+      // Fisher-Yates prefix for a random feature subset.
       for (size_t i = 0; i < options_.max_features; ++i) {
         const size_t j = i + rng_.NextBounded(num_features - i);
         std::swap(features_[i], features_[j]);
@@ -297,7 +169,6 @@ class HistTreeBuilder {
     return best;
   }
 
-  const Matrix& X_;
   const std::vector<int>& y_;
   const std::vector<double>& weights_;
   const DecisionTreeOptions& options_;
@@ -306,6 +177,7 @@ class HistTreeBuilder {
   Rng rng_;
   std::vector<double> pos_weights_;
   std::vector<DecisionTreeModel::Node> nodes_;
+  /// Per-node scratch, hoisted so split search does not allocate per node.
   std::vector<size_t> features_;
 };
 
@@ -394,15 +266,11 @@ std::unique_ptr<Classifier> DecisionTreeTrainer::Fit(
   OF_CHECK_GT(X.rows(), 0u);
   OF_TRACE_SPAN("fit/dt");
   OF_SCOPED_LATENCY_US("ml.fit_us.dt");
-  if (options_.split_method == SplitMethod::kHistogram) {
-    std::shared_ptr<const BinnedMatrix> binned = preset_binned_;
-    if (binned == nullptr || !binned->Matches(X, options_.max_bins)) {
-      binned = bin_cache_->GetOrBuild(X, options_.max_bins, options_.num_threads);
-    }
-    HistTreeBuilder builder(X, y, weights, options_, std::move(binned));
-    return std::make_unique<DecisionTreeModel>(builder.Build());
+  std::shared_ptr<const BinnedMatrix> binned = preset_binned_;
+  if (binned == nullptr || !binned->Matches(X)) {
+    binned = bin_cache_->GetOrBuild(X, options_.num_threads);
   }
-  TreeBuilder builder(X, y, weights, options_);
+  TreeBuilder builder(y, weights, options_, std::move(binned));
   return std::make_unique<DecisionTreeModel>(builder.Build());
 }
 

@@ -23,15 +23,9 @@ struct DecisionTreeOptions {
   /// otherwise a random subset (used by RandomForestTrainer).
   size_t max_features = 0;
   uint64_t seed = 7;
-  /// Split search strategy (DESIGN.md §11). kExact is the seed behavior and
-  /// stays bit-identical to it; kHistogram pre-quantizes X once and scans
-  /// bin histograms per node.
-  SplitMethod split_method = SplitMethod::kExact;
-  /// Bins per feature in histogram mode (clamped to [2, 255]).
-  int max_bins = 255;
   /// Worker threads for histogram builds (binning + per-feature node
-  /// histograms); 1 keeps the exact serial path. Results are bit-identical
-  /// for any value.
+  /// histograms); 1 keeps both serial. Results are bit-identical for any
+  /// value.
   int num_threads = 1;
 };
 
@@ -69,11 +63,11 @@ class DecisionTreeModel : public Classifier {
   std::vector<Node> nodes_;
 };
 
-/// Weighted CART on the weighted Gini impurity, with exact (per-node sort)
-/// or histogram (pre-quantized bins) split search. Trees optimize accuracy
-/// without an explicit loss function, which is exactly why the paper needs a
-/// model-agnostic mechanism — the only fairness hook available here is the
-/// example weights.
+/// Weighted CART on the weighted Gini impurity, with histogram split search
+/// over X pre-quantized into at most 255 bins per feature (DESIGN.md §11).
+/// Trees optimize accuracy without an explicit loss function, which is
+/// exactly why the paper needs a model-agnostic mechanism — the only
+/// fairness hook available here is the example weights.
 class DecisionTreeTrainer : public Trainer {
  public:
   explicit DecisionTreeTrainer(DecisionTreeOptions options = {});
@@ -89,7 +83,7 @@ class DecisionTreeTrainer : public Trainer {
 
   /// Hands the trainer a pre-built binning for the upcoming Fit (used by
   /// RandomForestTrainer so all trees of a forest share one BinnedMatrix).
-  /// Ignored in exact mode or when it does not match the fitted X.
+  /// Ignored when it does not match the fitted X.
   void SetBinnedMatrix(std::shared_ptr<const BinnedMatrix> binned) {
     preset_binned_ = std::move(binned);
   }

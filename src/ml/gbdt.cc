@@ -18,131 +18,24 @@ namespace {
 constexpr size_t kPredictChunkRows = 256;
 
 /// Builds one regression tree on (grad, hess) and returns the node array.
+/// Histogram split search (DESIGN.md §11): each node scans per-feature
+/// (sum_grad, sum_hess) bin histograms, and each split rescans only the
+/// smaller child (the larger one is parent minus sibling). With at most
+/// kMaxBins distinct values per feature the candidate set is every midpoint
+/// between adjacent values, so the chosen split is the greedy gain optimum
+/// (test_gbdt.cc checks this).
 class GbdtTreeBuilder {
  public:
-  GbdtTreeBuilder(const Matrix& X, const std::vector<double>& grad,
-                  const std::vector<double>& hess, const GbdtOptions& options)
-      : X_(X), grad_(grad), hess_(hess), options_(options) {}
-
-  std::vector<GbdtTreeNode> Build() {
-    std::vector<size_t> all(X_.rows());
-    std::iota(all.begin(), all.end(), 0);
-    BuildNode(std::move(all), 0);
-    return std::move(nodes_);
-  }
-
- private:
-  double LeafValue(double g, double h) const {
-    return -g / (h + options_.reg_lambda);
-  }
-
-  double ScoreHalf(double g, double h) const {
-    return g * g / (h + options_.reg_lambda);
-  }
-
-  int BuildNode(std::vector<size_t> samples, int depth) {
-    double g_total = 0.0;
-    double h_total = 0.0;
-    for (size_t i : samples) {
-      g_total += grad_[i];
-      h_total += hess_[i];
-    }
-
-    const int node_index = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-    nodes_[node_index].value = LeafValue(g_total, h_total);
-
-    if (depth >= options_.max_depth || samples.size() < 2 ||
-        h_total < 2.0 * options_.min_child_weight) {
-      return node_index;
-    }
-
-    // Exact greedy split: per feature, sort and scan.
-    bool found = false;
-    size_t best_feature = 0;
-    double best_threshold = 0.0;
-    double best_gain = options_.min_split_gain;
-    order_.assign(samples.begin(), samples.end());
-    const double parent_score = ScoreHalf(g_total, h_total);
-    for (size_t feature = 0; feature < X_.cols(); ++feature) {
-      std::sort(order_.begin(), order_.end(), [this, feature](size_t a, size_t b) {
-        return X_(a, feature) < X_(b, feature);
-      });
-      double g_left = 0.0;
-      double h_left = 0.0;
-      for (size_t k = 0; k + 1 < order_.size(); ++k) {
-        const size_t i = order_[k];
-        g_left += grad_[i];
-        h_left += hess_[i];
-        const double value = X_(i, feature);
-        const double next_value = X_(order_[k + 1], feature);
-        if (next_value <= value) continue;
-        const double h_right = h_total - h_left;
-        if (h_left < options_.min_child_weight || h_right < options_.min_child_weight) {
-          continue;
-        }
-        const double g_right = g_total - g_left;
-        const double gain =
-            0.5 * (ScoreHalf(g_left, h_left) + ScoreHalf(g_right, h_right) -
-                   parent_score);
-        if (gain > best_gain + 1e-12) {
-          found = true;
-          best_feature = feature;
-          best_threshold = 0.5 * (value + next_value);
-          best_gain = gain;
-        }
-      }
-    }
-    if (!found) return node_index;
-
-    std::vector<size_t> left_samples;
-    std::vector<size_t> right_samples;
-    for (size_t i : samples) {
-      (X_(i, best_feature) <= best_threshold ? left_samples : right_samples)
-          .push_back(i);
-    }
-    if (left_samples.empty() || right_samples.empty()) return node_index;
-    samples.clear();
-    samples.shrink_to_fit();
-
-    const int left = BuildNode(std::move(left_samples), depth + 1);
-    const int right = BuildNode(std::move(right_samples), depth + 1);
-    nodes_[node_index].is_leaf = false;
-    nodes_[node_index].feature = static_cast<int>(best_feature);
-    nodes_[node_index].threshold = best_threshold;
-    nodes_[node_index].left = left;
-    nodes_[node_index].right = right;
-    return node_index;
-  }
-
-  const Matrix& X_;
-  const std::vector<double>& grad_;
-  const std::vector<double>& hess_;
-  const GbdtOptions& options_;
-  std::vector<GbdtTreeNode> nodes_;
-  /// Per-node scratch, hoisted so split search does not allocate per node.
-  std::vector<size_t> order_;
-};
-
-/// Histogram-mode builder (DESIGN.md §11): per-feature (sum_grad, sum_hess)
-/// bin histograms replace the per-node sort, and each split rescans only the
-/// smaller child (the larger one is parent minus sibling). Stopping rules,
-/// gain arithmetic, and tie-breaking mirror GbdtTreeBuilder; only the
-/// candidate threshold set differs.
-class GbdtHistTreeBuilder {
- public:
-  GbdtHistTreeBuilder(const Matrix& X, const std::vector<double>& grad,
-                      const std::vector<double>& hess, const GbdtOptions& options,
-                      const BinnedMatrix& binned)
-      : X_(X),
-        grad_(grad),
+  GbdtTreeBuilder(const std::vector<double>& grad, const std::vector<double>& hess,
+                  const GbdtOptions& options, const BinnedMatrix& binned)
+      : grad_(grad),
         hess_(hess),
         options_(options),
         binned_(binned),
         stride_(static_cast<size_t>(binned.max_bins())) {}
 
   std::vector<GbdtTreeNode> Build() {
-    std::vector<size_t> all(X_.rows());
+    std::vector<size_t> all(binned_.rows());
     std::iota(all.begin(), all.end(), 0);
     NodeHistogram root;
     FillNodeHistogram(binned_, all, grad_.data(), hess_.data(),
@@ -183,7 +76,7 @@ class GbdtHistTreeBuilder {
     double best_threshold = 0.0;
     double best_gain = options_.min_split_gain;
     const double parent_score = ScoreHalf(g_total, h_total);
-    for (size_t feature = 0; feature < X_.cols(); ++feature) {
+    for (size_t feature = 0; feature < binned_.cols(); ++feature) {
       const int num_bins = binned_.NumBins(feature);
       const double* hg = hist.first.data() + feature * stride_;
       const double* hh = hist.second.data() + feature * stride_;
@@ -246,7 +139,6 @@ class GbdtHistTreeBuilder {
     return node_index;
   }
 
-  const Matrix& X_;
   const std::vector<double>& grad_;
   const std::vector<double>& hess_;
   const GbdtOptions& options_;
@@ -360,7 +252,6 @@ GbdtTrainer::GbdtTrainer(GbdtOptions options)
 std::unique_ptr<Trainer> GbdtTrainer::Clone() const {
   auto clone = std::make_unique<GbdtTrainer>(options_);
   clone->bin_cache_ = bin_cache_;
-  clone->preset_binned_ = preset_binned_;
   return clone;
 }
 
@@ -373,16 +264,11 @@ std::unique_ptr<Classifier> GbdtTrainer::Fit(const Matrix& X,
   OF_SCOPED_LATENCY_US("ml.fit_us.xgb");
   const size_t n = X.rows();
 
-  // Histogram mode bins X once per fit — and, via the cache shared across
-  // Clone()s, once per tuning run: only the example weights change between
-  // λ refits, never the binning (it is a pure function of X).
-  std::shared_ptr<const BinnedMatrix> binned;
-  if (options_.split_method == SplitMethod::kHistogram) {
-    binned = preset_binned_;
-    if (binned == nullptr || !binned->Matches(X, options_.max_bins)) {
-      binned = bin_cache_->GetOrBuild(X, options_.max_bins, options_.num_threads);
-    }
-  }
+  // X is binned once per fit — and, via the cache shared across Clone()s,
+  // once per tuning run: only the example weights change between λ refits,
+  // never the binning (it is a pure function of X).
+  const std::shared_ptr<const BinnedMatrix> binned =
+      bin_cache_->GetOrBuild(X, options_.num_threads);
 
   // Base score: weighted log-odds of the positive class.
   double w_pos = 0.0;
@@ -413,14 +299,8 @@ std::unique_ptr<Classifier> GbdtTrainer::Fit(const Matrix& X,
       grad[i] = weights[i] * (p - (y[i] == 1 ? 1.0 : 0.0));
       hess[i] = weights[i] * std::max(p * (1.0 - p), 1e-12);
     }
-    std::vector<GbdtTreeNode> tree;
-    if (binned != nullptr) {
-      GbdtHistTreeBuilder builder(X, grad, hess, options_, *binned);
-      tree = builder.Build();
-    } else {
-      GbdtTreeBuilder builder(X, grad, hess, options_);
-      tree = builder.Build();
-    }
+    std::vector<GbdtTreeNode> tree =
+        GbdtTreeBuilder(grad, hess, options_, *binned).Build();
     if (backoff < 1.0) {
       for (GbdtTreeNode& node : tree) node.value *= backoff;
     }

@@ -27,16 +27,9 @@ struct GbdtOptions {
   /// leaf values damped by another factor of 2, at most this many times
   /// before boosting stops with the ensemble built so far.
   int max_divergence_retries = 3;
-  /// Split search strategy (DESIGN.md §11). kExact is the seed behavior and
-  /// stays bit-identical to it; kHistogram pre-quantizes X once per fit (and
-  /// once per tuning run via the shared BinningCache) and scans bin
-  /// histograms per node.
-  SplitMethod split_method = SplitMethod::kExact;
-  /// Bins per feature in histogram mode (clamped to [2, 255]).
-  int max_bins = 255;
   /// Worker threads for histogram builds and chunked prediction; 1 keeps
-  /// the exact serial paths. Fitted trees and predictions are bit-identical
-  /// for any value.
+  /// them serial. Fitted trees and predictions are bit-identical for any
+  /// value.
   int num_threads = 1;
 };
 
@@ -86,7 +79,9 @@ class GbdtModel : public Classifier {
 /// Gradient-boosted decision trees with the second-order (Newton) logistic
 /// objective of XGBoost [13]. Example weights scale each example's gradient
 /// and hessian, matching xgboost's sample_weight semantics — this is the
-/// "XGB" column of the paper's Table 5.
+/// "XGB" column of the paper's Table 5. Split search is histogram-based:
+/// X is pre-quantized once per fit (and once per tuning run via the shared
+/// BinningCache) and each node scans bin histograms (DESIGN.md §11).
 class GbdtTrainer : public Trainer {
  public:
   explicit GbdtTrainer(GbdtOptions options = {});
@@ -100,16 +95,9 @@ class GbdtTrainer : public Trainer {
   /// fit every grid point on its own clone still bin X exactly once.
   std::unique_ptr<Trainer> Clone() const override;
 
-  /// Hands the trainer a pre-built binning for upcoming Fits. Ignored in
-  /// exact mode or when it does not match the fitted X.
-  void SetBinnedMatrix(std::shared_ptr<const BinnedMatrix> binned) {
-    preset_binned_ = std::move(binned);
-  }
-
  private:
   GbdtOptions options_;
   std::shared_ptr<BinningCache> bin_cache_;
-  std::shared_ptr<const BinnedMatrix> preset_binned_;
 };
 
 }  // namespace omnifair

@@ -82,13 +82,11 @@ std::unique_ptr<Classifier> RandomForestTrainer::Fit(
     feature_seeds[t] = rng.NextUint64();
   }
 
-  // Histogram mode: bin X once per fit (memoized across fits and clones by
-  // the shared cache) and hand the same BinnedMatrix to every tree, so the
-  // parallel tree loop never touches the cache lock.
-  std::shared_ptr<const BinnedMatrix> binned;
-  if (options_.split_method == SplitMethod::kHistogram) {
-    binned = bin_cache_->GetOrBuild(X, options_.max_bins, options_.num_threads);
-  }
+  // Bin X once per fit (memoized across fits and clones by the shared cache)
+  // and hand the same BinnedMatrix to every tree, so the parallel tree loop
+  // never touches the cache lock.
+  const std::shared_ptr<const BinnedMatrix> binned =
+      bin_cache_->GetOrBuild(X, options_.num_threads);
 
   std::vector<std::unique_ptr<Classifier>> trees(options_.num_trees);
   auto build_tree = [&](int t) {
@@ -106,12 +104,10 @@ std::unique_ptr<Classifier> RandomForestTrainer::Fit(
     tree_options.min_weight_leaf = options_.min_weight_leaf;
     tree_options.min_weight_split = 2.0 * options_.min_weight_leaf;
     tree_options.seed = feature_seeds[t];
-    tree_options.split_method = options_.split_method;
-    tree_options.max_bins = options_.max_bins;
     // Trees already run in parallel; keep per-tree histogram fills serial.
     tree_options.num_threads = 1;
     DecisionTreeTrainer tree_trainer(tree_options);
-    if (binned != nullptr) tree_trainer.SetBinnedMatrix(binned);
+    tree_trainer.SetBinnedMatrix(binned);
     trees[t] = tree_trainer.Fit(X, y, boot_weights);
   };
 

@@ -23,13 +23,6 @@ struct RandomForestOptions {
   /// up-front, so the fitted forest is identical for any thread count
   /// (the paper's future-work note on parallel model training).
   int num_threads = 4;
-  /// Split search strategy for every tree (DESIGN.md §11). kExact is the
-  /// seed behavior; kHistogram bins X once per fit (and once per tuning run
-  /// via the shared BinningCache) and every tree reuses the same
-  /// BinnedMatrix.
-  SplitMethod split_method = SplitMethod::kExact;
-  /// Bins per feature in histogram mode (clamped to [2, 255]).
-  int max_bins = 255;
 };
 
 /// Bagged ensemble of weighted CART trees; probability = mean leaf
@@ -57,7 +50,9 @@ class RandomForestModel : public Classifier {
 /// Weighted random forest. Example weights are folded into the bootstrap:
 /// each tree draws a Poisson-like bootstrap count per example and multiplies
 /// it by the example's weight, matching scikit-learn's handling of
-/// sample_weight under bagging.
+/// sample_weight under bagging. X is binned once per fit (and once per
+/// tuning run via the shared BinningCache), and every tree's histogram split
+/// search reuses the same BinnedMatrix (DESIGN.md §11).
 class RandomForestTrainer : public Trainer {
  public:
   explicit RandomForestTrainer(RandomForestOptions options = {});

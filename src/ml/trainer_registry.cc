@@ -26,18 +26,15 @@ std::unique_ptr<Trainer> MakeTrainer(const std::string& name, uint64_t seed,
   if (name == "dt" || name == "dt_hist") {
     DecisionTreeOptions options;
     options.seed = seed;
-    if (name == "dt_hist") options.split_method = SplitMethod::kHistogram;
     return std::make_unique<DecisionTreeTrainer>(options);
   }
   if (name == "rf" || name == "rf_hist") {
     RandomForestOptions options;
     options.seed = seed;
-    if (name == "rf_hist") options.split_method = SplitMethod::kHistogram;
     return std::make_unique<RandomForestTrainer>(options);
   }
   if (name == "xgb" || name == "xgb_hist") {
     GbdtOptions options;
-    if (name == "xgb_hist") options.split_method = SplitMethod::kHistogram;
     return std::make_unique<GbdtTrainer>(options);
   }
   if (name == "nb") {
@@ -53,6 +50,10 @@ std::unique_ptr<Trainer> MakeTrainer(const std::string& name, uint64_t seed,
   }
   OF_CHECK(false) << "unknown trainer name: " << name;
   return nullptr;
+}
+
+std::vector<std::string> TrainerNames() {
+  return {"lr", "dt", "rf", "xgb", "nn", "nb", "dt_hist", "rf_hist", "xgb_hist"};
 }
 
 std::vector<std::string> PaperModelNames() { return {"lr", "rf", "xgb", "nn"}; }

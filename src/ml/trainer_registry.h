@@ -16,10 +16,11 @@ namespace omnifair {
 ///   "xgb" -> GbdtTrainer
 ///   "nn"  -> MlpTrainer
 ///   "nb"  -> NaiveBayesTrainer
-/// Tree families also accept a "_hist" suffix ("dt_hist", "rf_hist",
-/// "xgb_hist") selecting SplitMethod::kHistogram (DESIGN.md §11) with the
-/// default bin count; everything else about the family is unchanged.
-/// Aborts on unknown names (programmer error).
+/// "dt_hist", "rf_hist", and "xgb_hist" are aliases of "dt", "rf", and
+/// "xgb": they once selected histogram split search, which is now the only
+/// split search (DESIGN.md §11), and stay so existing scripts keep working.
+/// Aborts on unknown names (programmer error); callers holding user input
+/// check it against TrainerNames() first.
 std::unique_ptr<Trainer> MakeTrainer(const std::string& name, uint64_t seed = 42);
 
 /// Optional hyperparameter overrides applied on top of a family's defaults.
@@ -33,6 +34,9 @@ struct TrainerOverrides {
 
 std::unique_ptr<Trainer> MakeTrainer(const std::string& name, uint64_t seed,
                                      const TrainerOverrides& overrides);
+
+/// Every name MakeTrainer accepts, aliases included.
+std::vector<std::string> TrainerNames();
 
 /// The four model families of the paper's Table 5 header: lr, rf, xgb, nn.
 std::vector<std::string> PaperModelNames();

@@ -1,0 +1,44 @@
+# Runs omnifair_cli with an unknown --model and an unknown --metric and
+# requires a usage error (exit 2) naming the accepted values, not an abort.
+# Invoked by the cli_bad_names ctest target (tests/CMakeLists.txt) as:
+#   cmake -D CLI=.../omnifair_cli -D OUT_DIR=... -P cli_bad_names.cmake
+
+foreach(required CLI OUT_DIR)
+  if(NOT DEFINED ${required})
+    message(FATAL_ERROR "cli_bad_names.cmake: missing -D ${required}=...")
+  endif()
+endforeach()
+
+file(MAKE_DIRECTORY ${OUT_DIR})
+set(data ${OUT_DIR}/compas.csv)
+execute_process(COMMAND ${CLI} synth --dataset compas --rows 200 --out ${data}
+                RESULT_VARIABLE synth_result OUTPUT_QUIET)
+if(NOT synth_result EQUAL 0)
+  message(FATAL_ERROR "synth exited with status ${synth_result}")
+endif()
+
+set(common --data ${data} --label two_year_recid --sensitive race)
+# Each case: a label, the expected stderr fragment, then the CLI arguments.
+function(expect_usage_error label expected)
+  execute_process(COMMAND ${CLI} ${ARGN}
+                  RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT result STREQUAL "2")
+    message(FATAL_ERROR "${label}: want exit 2, got '${result}'\n${err}")
+  endif()
+  string(FIND "${err}" "${expected}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "${label}: stderr lacks '${expected}':\n${err}")
+  endif()
+endfunction()
+
+expect_usage_error("train --model foo" "accepted: lr, dt, rf, xgb"
+                   train ${common} --model foo)
+expect_usage_error("train --metric bogus" "accepted: sp, mr, fpr, fnr, for, fdr"
+                   train ${common} --metric bogus)
+expect_usage_error("explain --stream --model foo" "accepted: lr"
+                   explain ${common} --stream --model foo)
+expect_usage_error("audit --metric bogus" "accepted: sp"
+                   audit ${common} --metric bogus --model-file ${OUT_DIR}/none.txt)
+expect_usage_error("bundle pack --metric bogus" "accepted: sp"
+                   bundle pack ${OUT_DIR}/none.txt ${OUT_DIR}/none.ofb
+                   --metric bogus)

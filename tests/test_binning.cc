@@ -199,23 +199,22 @@ TEST(BinningTest, CacheReusesSameMatrixAndCountsIt) {
   BinningCache cache;
   Counter* reused = MetricsRegistry::Global().GetCounter("tree.bins_reused");
   const long long reused_before = reused->Value();
-  const auto first = cache.GetOrBuild(X, 255, 1);
-  const auto second = cache.GetOrBuild(X, 255, 1);
+  const auto first = cache.GetOrBuild(X, 1);
+  const auto second = cache.GetOrBuild(X, 1);
   EXPECT_EQ(first.get(), second.get());
   EXPECT_GT(reused->Value(), reused_before);
 }
 
-TEST(BinningTest, CacheRebuildsForDifferentMatrixOrBinCount) {
+TEST(BinningTest, CacheRebuildsForDifferentMatrixAtFullResolution) {
   const Matrix X = RandomMatrix(200, 3, 81);
   const Matrix Y = RandomMatrix(200, 3, 91);
   BinningCache cache;
-  const auto binned_x = cache.GetOrBuild(X, 255, 1);
-  const auto binned_y = cache.GetOrBuild(Y, 255, 1);
+  const auto binned_x = cache.GetOrBuild(X, 1);
+  const auto binned_y = cache.GetOrBuild(Y, 1);
   EXPECT_NE(binned_x.get(), binned_y.get());
-  const auto binned_y_coarse = cache.GetOrBuild(Y, 16, 1);
-  EXPECT_NE(binned_y.get(), binned_y_coarse.get());
-  EXPECT_TRUE(binned_y_coarse->Matches(Y, 16));
-  EXPECT_FALSE(binned_y_coarse->Matches(Y, 255));
+  EXPECT_TRUE(binned_y->Matches(Y));
+  EXPECT_FALSE(binned_y->Matches(X));
+  EXPECT_EQ(binned_y->max_bins(), BinnedMatrix::kMaxBins);
 }
 
 TEST(BinningTest, MaxBinsClampedToCodeRange) {

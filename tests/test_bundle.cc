@@ -143,18 +143,15 @@ TEST_F(BundleTest, MlpRoundTripIsBitIdentical) {
   ExpectBitIdentical(*model, *bundle);
 }
 
-TEST_F(BundleTest, DecisionTreeParityAcrossDepthsAndSplitMethods) {
-  for (SplitMethod method : {SplitMethod::kExact, SplitMethod::kHistogram}) {
-    for (int depth : {1, 3, 8}) {
-      DecisionTreeOptions options;
-      options.max_depth = depth;
-      options.split_method = method;
-      auto model = DecisionTreeTrainer(options).Fit(X_, y_, weights_);
-      ASSERT_NE(model, nullptr);
-      auto bundle = RoundTrip(*model, "dt.ofb");
-      ASSERT_NE(bundle, nullptr) << "depth " << depth;
-      ExpectBitIdentical(*model, *bundle);
-    }
+TEST_F(BundleTest, DecisionTreeParityAcrossDepths) {
+  for (int depth : {1, 3, 8}) {
+    DecisionTreeOptions options;
+    options.max_depth = depth;
+    auto model = DecisionTreeTrainer(options).Fit(X_, y_, weights_);
+    ASSERT_NE(model, nullptr);
+    auto bundle = RoundTrip(*model, "dt.ofb");
+    ASSERT_NE(bundle, nullptr) << "depth " << depth;
+    ExpectBitIdentical(*model, *bundle);
   }
 }
 
@@ -169,32 +166,26 @@ TEST_F(BundleTest, SingleNodeTreeRoundTrips) {
   ExpectBitIdentical(*model, *bundle);
 }
 
-TEST_F(BundleTest, RandomForestParityAcrossSplitMethods) {
-  for (SplitMethod method : {SplitMethod::kExact, SplitMethod::kHistogram}) {
-    RandomForestOptions options;
-    options.num_trees = 12;
-    options.max_depth = 5;
-    options.split_method = method;
-    auto model = RandomForestTrainer(options).Fit(X_, y_, weights_);
-    ASSERT_NE(model, nullptr);
-    auto bundle = RoundTrip(*model, "rf.ofb");
-    ASSERT_NE(bundle, nullptr);
-    ExpectBitIdentical(*model, *bundle);
-  }
+TEST_F(BundleTest, RandomForestParity) {
+  RandomForestOptions options;
+  options.num_trees = 12;
+  options.max_depth = 5;
+  auto model = RandomForestTrainer(options).Fit(X_, y_, weights_);
+  ASSERT_NE(model, nullptr);
+  auto bundle = RoundTrip(*model, "rf.ofb");
+  ASSERT_NE(bundle, nullptr);
+  ExpectBitIdentical(*model, *bundle);
 }
 
-TEST_F(BundleTest, GbdtParityAcrossSplitMethods) {
-  for (SplitMethod method : {SplitMethod::kExact, SplitMethod::kHistogram}) {
-    GbdtOptions options;
-    options.num_rounds = 10;
-    options.max_depth = 3;
-    options.split_method = method;
-    auto model = GbdtTrainer(options).Fit(X_, y_, weights_);
-    ASSERT_NE(model, nullptr);
-    auto bundle = RoundTrip(*model, "gbdt.ofb");
-    ASSERT_NE(bundle, nullptr);
-    ExpectBitIdentical(*model, *bundle);
-  }
+TEST_F(BundleTest, GbdtParity) {
+  GbdtOptions options;
+  options.num_rounds = 10;
+  options.max_depth = 3;
+  auto model = GbdtTrainer(options).Fit(X_, y_, weights_);
+  ASSERT_NE(model, nullptr);
+  auto bundle = RoundTrip(*model, "gbdt.ofb");
+  ASSERT_NE(bundle, nullptr);
+  ExpectBitIdentical(*model, *bundle);
 }
 
 TEST_F(BundleTest, AccumulateProbaMatchesPointerModels) {

@@ -1,11 +1,13 @@
 #include "ml/decision_tree.h"
 
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "core/problem.h"
 #include "data/datasets.h"
 #include "ml/logistic_regression.h"
 #include "tests/testing_data.h"
+#include "tests/testing_splits.h"
 
 namespace omnifair {
 namespace {
@@ -14,6 +16,11 @@ using testing_data::Blobs;
 using testing_data::MakeBlobs;
 using testing_data::MakeXor;
 using testing_data::TrainAccuracy;
+using testing_splits::BestMidpointScore;
+using testing_splits::GridData;
+using testing_splits::MakeGridData;
+using testing_splits::NodeSamples;
+using testing_splits::SplitScore;
 
 std::vector<DecisionTreeModel::Node> FitNodes(const Blobs& blobs,
                                               const DecisionTreeOptions& options) {
@@ -112,29 +119,22 @@ TEST(DecisionTreeTest, DeterministicWithFullFeatures) {
   EXPECT_EQ(ma->Predict(xor_data.X), mb->Predict(xor_data.X));
 }
 
-TEST(DecisionTreeHistogramTest, LearnsXor) {
-  const Blobs xor_data = MakeXor(600, 1);
-  DecisionTreeOptions options;
-  options.split_method = SplitMethod::kHistogram;
-  DecisionTreeTrainer trainer(options);
-  const auto model = trainer.Fit(xor_data.X, xor_data.y, xor_data.unit_weights);
-  EXPECT_GE(TrainAccuracy(*model, xor_data), 0.95);
-}
-
-TEST(DecisionTreeHistogramTest, ThreadCountDoesNotChangeTree) {
+TEST(DecisionTreeTest, ThreadCountDoesNotChangeTree) {
   // Determinism contract (DESIGN.md §11): same seed => bit-identical nodes
   // at 1 and N threads, because every per-feature fill is a serial scan.
   const Blobs blobs = MakeBlobs(4000, 0.8, 9);
   DecisionTreeOptions serial;
-  serial.split_method = SplitMethod::kHistogram;
-  serial.max_bins = 64;
   serial.num_threads = 1;
   DecisionTreeOptions parallel = serial;
   parallel.num_threads = 4;
   ExpectSameNodes(FitNodes(blobs, serial), FitNodes(blobs, parallel));
 }
 
-TEST(DecisionTreeHistogramTest, MatchesExactAccuracyOnSyntheticAdult) {
+TEST(DecisionTreeTest, AccuracyFloorOnSyntheticAdult) {
+  // The floor is the accuracy the former exact (per-node sort) splitter
+  // reached on this data, 0.9483, minus the 0.02 tolerance this check
+  // allowed histogram search against it.
+  constexpr double kFloor = 0.9483 - 0.02;
   SyntheticOptions data_options;
   data_options.num_rows = 3000;
   data_options.seed = 19;
@@ -148,24 +148,54 @@ TEST(DecisionTreeHistogramTest, MatchesExactAccuracyOnSyntheticAdult) {
   const Matrix& X = (*problem)->train_features();
   const std::vector<int>& y = (*problem)->train().labels();
 
-  DecisionTreeOptions exact;
-  DecisionTreeOptions hist = exact;
-  hist.split_method = SplitMethod::kHistogram;
-  DecisionTreeTrainer exact_trainer(exact);
-  DecisionTreeTrainer hist_trainer(hist);
-  const double exact_acc = Accuracy(y, exact_trainer.Fit(X, y)->Predict(X));
-  const double hist_acc = Accuracy(y, hist_trainer.Fit(X, y)->Predict(X));
-  EXPECT_NEAR(hist_acc, exact_acc, 0.02);
+  DecisionTreeTrainer trainer;
+  EXPECT_GE(Accuracy(y, trainer.Fit(X, y)->Predict(X)), kFloor);
 }
 
-TEST(DecisionTreeHistogramTest, CoarseBinsStillLearn) {
-  const Blobs blobs = MakeBlobs(800, 2.0, 12);
+TEST(DecisionTreeTest, EverySplitIsTheGreedyGiniOptimum) {
+  // With fewer distinct values per feature than bins, histogram search must
+  // find the same best Gini decrease as scanning every midpoint between
+  // adjacent node-local values.
+  const GridData data = MakeGridData(600, 31);
   DecisionTreeOptions options;
-  options.split_method = SplitMethod::kHistogram;
-  options.max_bins = 8;
+  options.max_depth = 6;
   DecisionTreeTrainer trainer(options);
-  const auto model = trainer.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  EXPECT_GE(TrainAccuracy(*model, blobs), 0.95);
+  const auto model = trainer.Fit(data.X, data.y, data.weights);
+  const auto& nodes = dynamic_cast<const DecisionTreeModel&>(*model).nodes();
+
+  std::vector<double> pos_weights(data.weights.size());
+  for (size_t i = 0; i < pos_weights.size(); ++i) {
+    pos_weights[i] = data.y[i] == 1 ? data.weights[i] : 0.0;
+  }
+  const auto gini = [](double pos, double total) {
+    if (total <= 0.0) return 0.0;
+    const double p = pos / total;
+    return 2.0 * p * (1.0 - p);
+  };
+  const auto decrease = [&](double left_w, double left_pos, double w,
+                            double pos) {
+    const double right_w = w - left_w;
+    if (left_w < options.min_weight_leaf || right_w < options.min_weight_leaf) {
+      return -std::numeric_limits<double>::infinity();
+    }
+    return gini(pos, w) -
+           (left_w * gini(left_pos, left_w) + right_w * gini(pos - left_pos, right_w)) /
+               w;
+  };
+
+  const auto samples = NodeSamples(nodes, data.X);
+  int internal = 0;
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    if (nodes[n].is_leaf) continue;
+    ++internal;
+    const double chosen =
+        SplitScore(data.X, samples[n], static_cast<size_t>(nodes[n].feature),
+                   nodes[n].threshold, data.weights, pos_weights, decrease);
+    const double best = BestMidpointScore(data.X, samples[n], data.weights,
+                                          pos_weights, decrease);
+    EXPECT_GE(chosen, best - 1e-12) << "node " << n;
+  }
+  EXPECT_GE(internal, 10);
 }
 
 TEST(DecisionTreeTest, MinWeightLeafPreventsTinySplits) {

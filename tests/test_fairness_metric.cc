@@ -102,6 +102,9 @@ TEST(FairnessMetricTest, PredictionDependenceFlags) {
 TEST(FairnessMetricTest, Names) {
   EXPECT_EQ(MakeMetricByName("sp")->Name(), "sp");
   EXPECT_EQ(MakeMetricByName("fdr")->Name(), "fdr");
+  for (const std::string& name : MetricNames()) {
+    EXPECT_EQ(MakeMetricByName(name)->Name(), name);
+  }
 }
 
 TEST(FairnessMetricTest, AecMatchesCostDefinition) {

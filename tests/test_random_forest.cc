@@ -65,37 +65,11 @@ TEST(RandomForestTest, ProbabilitiesAreAverages) {
 }
 
 TEST(RandomForestTest, ThreadCountDoesNotChangeForest) {
-  const Blobs blobs = MakeBlobs(400, 0.8, 7);
-  RandomForestOptions sequential;
-  sequential.num_threads = 1;
-  sequential.seed = 5;
-  RandomForestOptions parallel;
-  parallel.num_threads = 4;
-  parallel.seed = 5;
-  RandomForestTrainer a(sequential);
-  RandomForestTrainer b(parallel);
-  const auto pa = a.Fit(blobs.X, blobs.y, blobs.unit_weights)->PredictProba(blobs.X);
-  const auto pb = b.Fit(blobs.X, blobs.y, blobs.unit_weights)->PredictProba(blobs.X);
-  EXPECT_EQ(pa, pb);
-}
-
-TEST(RandomForestHistogramTest, LearnsXor) {
-  const Blobs xor_data = MakeXor(600, 1);
-  RandomForestOptions options;
-  options.split_method = SplitMethod::kHistogram;
-  RandomForestTrainer trainer(options);
-  const auto model = trainer.Fit(xor_data.X, xor_data.y, xor_data.unit_weights);
-  EXPECT_GE(TrainAccuracy(*model, xor_data), 0.93);
-}
-
-TEST(RandomForestHistogramTest, ThreadCountDoesNotChangeForest) {
   // Determinism contract (DESIGN.md §11): every tree shares one BinnedMatrix
   // and is seeded up-front, so the fitted forest is identical at any thread
   // count — both for tree building and the shared binning build.
   const Blobs blobs = MakeBlobs(2000, 0.8, 13);
   RandomForestOptions serial;
-  serial.split_method = SplitMethod::kHistogram;
-  serial.max_bins = 64;
   serial.num_trees = 12;
   serial.seed = 5;
   serial.num_threads = 1;
@@ -108,19 +82,17 @@ TEST(RandomForestHistogramTest, ThreadCountDoesNotChangeForest) {
   EXPECT_EQ(pa, pb);
 }
 
-TEST(RandomForestHistogramTest, CloseToExactAccuracy) {
+TEST(RandomForestTest, AccuracyFloorOnBlobs) {
+  // The floor is the accuracy the former exact (per-node sort) splitter
+  // reached on this data, 0.9733, minus the 0.02 tolerance this check
+  // allowed histogram search against it.
+  constexpr double kFloor = 0.9733 - 0.02;
   const Blobs blobs = MakeBlobs(1500, 1.0, 14);
-  RandomForestOptions exact;
-  exact.seed = 3;
-  RandomForestOptions hist = exact;
-  hist.split_method = SplitMethod::kHistogram;
-  RandomForestTrainer exact_trainer(exact);
-  RandomForestTrainer hist_trainer(hist);
-  const double exact_acc = TrainAccuracy(
-      *exact_trainer.Fit(blobs.X, blobs.y, blobs.unit_weights), blobs);
-  const double hist_acc = TrainAccuracy(
-      *hist_trainer.Fit(blobs.X, blobs.y, blobs.unit_weights), blobs);
-  EXPECT_NEAR(hist_acc, exact_acc, 0.02);
+  RandomForestOptions options;
+  options.seed = 3;
+  RandomForestTrainer trainer(options);
+  EXPECT_GE(TrainAccuracy(*trainer.Fit(blobs.X, blobs.y, blobs.unit_weights), blobs),
+            kFloor);
 }
 
 TEST(RandomForestTest, WeightsShiftPredictions) {

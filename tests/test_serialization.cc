@@ -46,12 +46,28 @@ TEST_P(ModelRoundTripTest, PredictionsSurviveRoundTrip) {
   }
 }
 
-// The "_hist" variants train with histogram split search; the fitted trees
-// serialize through the same text format (thresholds are real doubles), so
-// the round-trip property must hold for them unchanged.
 INSTANTIATE_TEST_SUITE_P(AllFamilies, ModelRoundTripTest,
-                         ::testing::Values("lr", "dt", "rf", "xgb", "nn", "nb",
-                                           "dt_hist", "rf_hist", "xgb_hist"));
+                         ::testing::Values("lr", "dt", "rf", "xgb", "nn", "nb"));
+
+TEST(TrainerRegistryTest, EveryListedNameConstructs) {
+  for (const std::string& name : TrainerNames()) {
+    EXPECT_NE(MakeTrainer(name), nullptr) << name;
+  }
+}
+
+TEST(TrainerRegistryTest, HistNamesAreAliasesOfTheirFamilies) {
+  // "dt_hist" / "rf_hist" / "xgb_hist" predate histogram search being the
+  // only split search; they must train exactly what the plain names train.
+  const Blobs blobs = MakeBlobs(300, 1.0, 12);
+  for (const std::string family : {"dt", "rf", "xgb"}) {
+    const auto plain =
+        MakeTrainer(family)->Fit(blobs.X, blobs.y, blobs.unit_weights);
+    const auto alias =
+        MakeTrainer(family + "_hist")->Fit(blobs.X, blobs.y, blobs.unit_weights);
+    EXPECT_EQ(plain->PredictProba(blobs.X), alias->PredictProba(blobs.X))
+        << family;
+  }
+}
 
 TEST(SerializationTest, FileRoundTrip) {
   const Blobs blobs = MakeBlobs(100, 1.5, 8);

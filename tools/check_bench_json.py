@@ -48,7 +48,7 @@ TUNE_POINT_FIELDS = {
 # only held to the generic schema.
 PER_BENCH_SECTIONS = {
     "tree_build": {
-        "tree_build": ["rows", "exact_seconds", "hist_seconds", "speedup"],
+        "tree_build": ["rows", "fit_seconds"],
         "binning_amortization": ["rows", "cold_seconds", "warm_seconds",
                                  "bins_reused"],
         "grid_reuse": ["models_trained", "seconds", "bins_reused"],

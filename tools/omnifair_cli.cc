@@ -175,6 +175,19 @@ int WriteProfileOut(const FairModel& fair, const std::string& path) {
   return 0;
 }
 
+/// Checks a user-supplied --model / --metric value against the names the
+/// library accepts, so a typo is a usage error (exit 2) listing the choices
+/// instead of an abort inside MakeTrainer / MakeMetricByName.
+bool CheckName(const char* flag, const std::string& value,
+               const std::vector<std::string>& accepted) {
+  if (std::find(accepted.begin(), accepted.end(), value) != accepted.end()) {
+    return true;
+  }
+  std::fprintf(stderr, "error: unknown --%s '%s' (accepted: %s)\n", flag,
+               value.c_str(), Join(accepted, ", ").c_str());
+  return false;
+}
+
 bool MetricKindByName(const std::string& name, MetricKind* out) {
   if (name == "sp") { *out = MetricKind::kStatisticalParity; return true; }
   if (name == "mr") { *out = MetricKind::kMisclassificationRate; return true; }
@@ -313,6 +326,10 @@ int RunStreamTrain(const Args& args, bool explain) {
 /// `explain` is train plus a per-stage profile dump: same flags, same exit
 /// codes, with the RunProfile table printed after the training summary.
 int RunTrain(const Args& args, bool explain) {
+  if (!CheckName("model", args.Get("model", "lr"), TrainerNames()) ||
+      !CheckName("metric", args.Get("metric", "sp"), MetricNames())) {
+    return 2;
+  }
   if (args.Has("stream")) return RunStreamTrain(args, explain);
   if (!args.Has("data") || !args.Has("sensitive")) return Usage();
   Result<Dataset> dataset = LoadCsvDataset(args);
@@ -405,6 +422,7 @@ int RunAudit(const Args& args) {
   if (!args.Has("data") || !args.Has("sensitive") || !args.Has("model-file")) {
     return Usage();
   }
+  if (!CheckName("metric", args.Get("metric", "sp"), MetricNames())) return 2;
   Result<Dataset> dataset = LoadCsvDataset(args);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
@@ -434,6 +452,10 @@ int RunBundle(const Args& args) {
   const std::string& sub = args.positional[0];
   if (sub == "pack") {
     if (args.positional.size() != 3) return Usage();
+    if (args.Has("metric") &&
+        !CheckName("metric", args.Get("metric"), MetricNames())) {
+      return 2;
+    }
     Result<FairModel> fair = LoadFairModel(args.positional[1]);
     if (!fair.ok()) {
       std::fprintf(stderr, "error: %s\n", fair.status().ToString().c_str());
