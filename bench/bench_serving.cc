@@ -1,9 +1,7 @@
 // Serving-path benchmark (DESIGN.md §15). Three sections:
 //
 //   bundle_load    - cold-load a 200-tree random forest from the versioned
-//                    binary bundle vs. re-parsing the text serialization
-//                    (min-of-3 each). The bundle must be >=10x faster: it
-//                    memory-maps flat arrays instead of tokenizing text.
+//                    binary bundle (min-of-3): open + validate + MakeModel.
 //   serving_closed - closed-loop BundleServer::Handle per model family at
 //                    several batch sizes; reports QPS and p50/p99 latency
 //                    from locally timed requests.
@@ -24,7 +22,6 @@
 
 #include "ml/bundle.h"
 #include "ml/random_forest.h"
-#include "ml/serialization.h"
 #include "serve/server.h"
 
 namespace omnifair {
@@ -85,10 +82,9 @@ double QuantileUs(std::vector<double>& latencies_us, double q) {
   return latencies_us[index];
 }
 
-/// Cold-load comparison: the same 200-tree forest through the text
-/// deserializer and through the binary bundle. Each path is timed min-of-3
-/// (min, not mean: the fastest run has the least scheduler noise and both
-/// paths see a warm page cache, so the comparison is parse cost only).
+/// Cold load of a 200-tree forest bundle, timed min-of-3 (min, not mean: the
+/// fastest run has the least scheduler noise; every run sees a warm page
+/// cache, so the time is open + validate cost only).
 void RunBundleLoad(BenchReporter& reporter, const Dataset& data) {
   RandomForestOptions options;
   options.num_trees = 200;
@@ -100,47 +96,30 @@ void RunBundleLoad(BenchReporter& reporter, const Dataset& data) {
   const auto model = RandomForestTrainer(options).Fit(X, data.labels());
   const double fit_seconds = fit_watch.ElapsedSeconds();
 
-  const std::string text_path = BundlePath("rf200") + ".txt";
   const std::string bundle_path = BundlePath("rf200");
-  OF_CHECK(SaveModel(*model, text_path).ok());
   BundleMeta meta;
   meta.sensitive_attribute = "race";
   OF_CHECK(WriteBundle(*model, encoder, meta, bundle_path).ok());
 
-  double text_seconds = 1e30;
   double bundle_seconds = 1e30;
   for (int run = 0; run < 3; ++run) {
     Stopwatch watch;
-    auto text_model = LoadModel(text_path);
-    OF_CHECK(text_model.ok());
-    text_seconds = std::min(text_seconds, watch.ElapsedSeconds());
-
-    watch.Restart();
     auto bundle = ModelBundle::Open(bundle_path);
     OF_CHECK(bundle.ok());
     auto flat = (*bundle)->MakeModel();
     bundle_seconds = std::min(bundle_seconds, watch.ElapsedSeconds());
   }
-  const double speedup =
-      bundle_seconds > 0.0 ? text_seconds / bundle_seconds : 0.0;
-  const auto text_bytes =
-      static_cast<double>(std::filesystem::file_size(text_path));
   const auto bundle_bytes =
       static_cast<double>(std::filesystem::file_size(bundle_path));
 
-  PrintHeader("Cold load: 200-tree RF, text deserialize vs binary bundle");
-  std::printf("%-12s %12s %14s %10s %12s %12s\n", "model", "text (s)",
-              "bundle (s)", "speedup", "text B", "bundle B");
-  std::printf("%-12s %12.6f %14.6f %9.1fx %12.0f %12.0f\n", "rf200",
-              text_seconds, bundle_seconds, speedup, text_bytes, bundle_bytes);
+  PrintHeader("Cold load: 200-tree RF bundle");
+  std::printf("%-12s %14s %12s\n", "model", "bundle (s)", "bundle B");
+  std::printf("%-12s %14.6f %12.0f\n", "rf200", bundle_seconds, bundle_bytes);
 
   reporter.AddRow("bundle_load")
       .Label("model", "rf200")
       .Value("fit_seconds", fit_seconds)
-      .Value("text_load_seconds", text_seconds)
       .Value("bundle_load_seconds", bundle_seconds)
-      .Value("load_speedup", speedup)
-      .Value("text_bytes", text_bytes)
       .Value("bundle_bytes", bundle_bytes);
 }
 

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-
-#include <fstream>
 #include <sstream>
 
 #include "data/split.h"
 #include "ml/metrics.h"
-#include "ml/serialization.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/telemetry.h"
@@ -160,69 +157,6 @@ Result<FairModel> OmniFair::TrainWithSplit(const Dataset& dataset, Trainer* trai
     if (!audit.ok()) return audit.status();
     *test_report = std::move(*audit);
   }
-  return fair;
-}
-
-Status SaveFairModel(const FairModel& fair, const std::string& path) {
-  if (fair.model == nullptr) return Status::InvalidArgument("FairModel has no model");
-  std::ofstream out(path);
-  if (!out) return IoError(path, "open");
-  out.precision(17);
-  out << "omnifair_fairmodel 1\n";
-  out << "lambdas";
-  for (double lambda : fair.lambdas) out << " " << lambda;
-  out << "\n";
-  out << "satisfied " << (fair.satisfied ? 1 : 0) << " val_accuracy "
-      << fair.val_accuracy << "\n";
-  fair.encoder.SerializeTo(out);
-  Status status = SerializeModel(*fair.model, out);
-  if (!status.ok()) return status;
-  out.flush();
-  if (!out) return IoError(path, "write");
-  return Status::Ok();
-}
-
-Result<FairModel> LoadFairModel(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return IoError(path, "open");
-  std::string tag;
-  int version = 0;
-  if (!(in >> tag >> version) || tag != "omnifair_fairmodel" || version != 1) {
-    return Status::InvalidArgument("not an omnifair fair-model file");
-  }
-  FairModel fair;
-  if (!(in >> tag) || tag != "lambdas") {
-    return Status::InvalidArgument("bad lambdas line");
-  }
-  std::string rest;
-  std::getline(in, rest);
-  {
-    std::istringstream lambda_stream(rest);
-    double lambda = 0.0;
-    while (lambda_stream >> lambda) fair.lambdas.push_back(lambda);
-    // The old parser silently dropped trailing junk; a lambdas line that is
-    // not purely numbers means the file is damaged.
-    lambda_stream.clear();
-    std::string leftover;
-    if (lambda_stream >> leftover) {
-      return Status::InvalidArgument("malformed lambdas line: unexpected '" +
-                                     leftover + "'");
-    }
-  }
-  int satisfied = 0;
-  if (!(in >> tag >> satisfied) || tag != "satisfied") {
-    return Status::InvalidArgument("bad satisfied line");
-  }
-  if (!(in >> tag >> fair.val_accuracy) || tag != "val_accuracy") {
-    return Status::InvalidArgument("bad val_accuracy field");
-  }
-  fair.satisfied = satisfied != 0;
-  Result<FeatureEncoder> encoder = FeatureEncoder::Deserialize(in);
-  if (!encoder.ok()) return encoder.status();
-  fair.encoder = std::move(*encoder);
-  Result<std::unique_ptr<Classifier>> model = DeserializeModel(in);
-  if (!model.ok()) return model.status();
-  fair.model = std::move(*model);
   return fair;
 }
 

@@ -169,17 +169,6 @@ Result<AuditReport> Audit(const Classifier& model, const FeatureEncoder& encoder
                           const Dataset& dataset,
                           const std::vector<FairnessSpec>& specs);
 
-/// Persists a trained FairModel (classifier + encoder + tuned lambdas) to a
-/// single text file so it can be deployed without retraining. Returns
-/// kUnsupported for model families without a serializer (e.g. baselines'
-/// ExpGrad ensembles).
-Status SaveFairModel(const FairModel& fair, const std::string& path);
-
-/// Loads a FairModel written by SaveFairModel. Specs are not persisted
-/// (grouping functions are arbitrary callables); re-declare them when
-/// auditing the loaded model.
-Result<FairModel> LoadFairModel(const std::string& path);
-
 }  // namespace omnifair
 
 #endif  // OMNIFAIR_CORE_OMNIFAIR_H_

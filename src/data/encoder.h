@@ -57,7 +57,8 @@ class FeatureEncoder {
   const std::vector<std::string>& feature_names() const { return feature_names_; }
 
   /// Writes the fitted layout + statistics in the library's text format
-  /// (used by SaveFairModel so a saved model can encode raw data later).
+  /// (a model bundle's encoder section, so a deployed model can encode raw
+  /// rows; DESIGN.md §15).
   void SerializeTo(std::ostream& os) const;
   /// Reads a layout written by SerializeTo.
   static Result<FeatureEncoder> Deserialize(std::istream& is);

@@ -1,7 +1,5 @@
 #include "ml/serialization.h"
 
-#include <fstream>
-
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
 #include "ml/logistic_regression.h"
@@ -11,55 +9,6 @@
 
 namespace omnifair {
 namespace {
-
-constexpr char kMagic[] = "omnifair_model";
-constexpr int kVersion = 1;
-
-/// Upper bound on any element count read from a model file. Far beyond any
-/// model this library trains; a larger prefix is corruption, not a model,
-/// and must fail before the resize() allocates.
-constexpr size_t kMaxCount = size_t{1} << 26;
-
-/// Byte-position context for error messages, e.g. " near byte 132". The
-/// stream's failbit is cleared to make tellg usable; callers are bailing out
-/// anyway.
-std::string AtByte(std::istream& is) {
-  is.clear();
-  const auto pos = is.tellg();
-  if (pos < 0) return "";
-  return " near byte " + std::to_string(static_cast<long long>(pos));
-}
-
-/// Typed parse failure: truncation (EOF) is data loss, anything else is
-/// malformed content.
-Status TextError(std::istream& is, const std::string& what) {
-  if (is.eof()) {
-    return Status::DataLoss("truncated " + what + AtByte(is));
-  }
-  return Status::InvalidArgument("malformed " + what + AtByte(is));
-}
-
-void WriteVector(std::ostream& os, const std::vector<double>& values) {
-  os << values.size();
-  for (double v : values) os << " " << v;
-  os << "\n";
-}
-
-Status ReadVector(std::istream& is, const std::string& what,
-                  std::vector<double>* values) {
-  size_t count = 0;
-  if (!(is >> count)) return TextError(is, what + " length");
-  if (count > kMaxCount) {
-    return Status::InvalidArgument(what + " claims " + std::to_string(count) +
-                                   " elements (limit " +
-                                   std::to_string(kMaxCount) + ")" + AtByte(is));
-  }
-  values->resize(count);
-  for (double& v : *values) {
-    if (!(is >> v)) return TextError(is, what + " values");
-  }
-  return Status::Ok();
-}
 
 // --- Tree-structure validation ----------------------------------------------
 //
@@ -102,291 +51,7 @@ Status ValidateGbdtNodes(const std::vector<GbdtTreeNode>& nodes) {
   return Status::Ok();
 }
 
-// --- Decision-tree node arrays (shared by dt / rf) ---------------------------
-
-void WriteTreeNodes(std::ostream& os, const std::vector<DecisionTreeModel::Node>& nodes) {
-  os << nodes.size() << "\n";
-  for (const auto& node : nodes) {
-    if (node.is_leaf) {
-      os << "leaf " << node.probability << "\n";
-    } else {
-      os << "split " << node.feature << " " << node.threshold << " " << node.left
-         << " " << node.right << "\n";
-    }
-  }
-}
-
-Status ReadTreeNodes(std::istream& is, const std::string& what,
-                     std::vector<DecisionTreeModel::Node>* nodes) {
-  size_t count = 0;
-  if (!(is >> count)) return TextError(is, what + " node count");
-  if (count > kMaxCount) {
-    return Status::InvalidArgument(what + " claims " + std::to_string(count) +
-                                   " nodes (limit " + std::to_string(kMaxCount) +
-                                   ")" + AtByte(is));
-  }
-  nodes->resize(count);
-  for (auto& node : *nodes) {
-    std::string kind;
-    if (!(is >> kind)) return TextError(is, what + " node kind");
-    if (kind == "leaf") {
-      node.is_leaf = true;
-      if (!(is >> node.probability)) return TextError(is, what + " leaf");
-    } else if (kind == "split") {
-      node.is_leaf = false;
-      if (!(is >> node.feature >> node.threshold >> node.left >> node.right)) {
-        return TextError(is, what + " split");
-      }
-    } else {
-      return Status::InvalidArgument("unknown node kind '" + kind + "' in " +
-                                     what + AtByte(is));
-    }
-  }
-  return ValidateDtNodes(*nodes);
-}
-
-void WriteGbdtNodes(std::ostream& os, const std::vector<GbdtTreeNode>& nodes) {
-  os << nodes.size() << "\n";
-  for (const auto& node : nodes) {
-    if (node.is_leaf) {
-      os << "leaf " << node.value << "\n";
-    } else {
-      os << "split " << node.feature << " " << node.threshold << " " << node.left
-         << " " << node.right << "\n";
-    }
-  }
-}
-
-Status ReadGbdtNodes(std::istream& is, const std::string& what,
-                     std::vector<GbdtTreeNode>* nodes) {
-  size_t count = 0;
-  if (!(is >> count)) return TextError(is, what + " node count");
-  if (count > kMaxCount) {
-    return Status::InvalidArgument(what + " claims " + std::to_string(count) +
-                                   " nodes (limit " + std::to_string(kMaxCount) +
-                                   ")" + AtByte(is));
-  }
-  nodes->resize(count);
-  for (auto& node : *nodes) {
-    std::string kind;
-    if (!(is >> kind)) return TextError(is, what + " node kind");
-    if (kind == "leaf") {
-      node.is_leaf = true;
-      if (!(is >> node.value)) return TextError(is, what + " leaf");
-    } else if (kind == "split") {
-      node.is_leaf = false;
-      if (!(is >> node.feature >> node.threshold >> node.left >> node.right)) {
-        return TextError(is, what + " split");
-      }
-    } else {
-      return Status::InvalidArgument("unknown node kind '" + kind + "' in " +
-                                     what + AtByte(is));
-    }
-  }
-  return ValidateGbdtNodes(*nodes);
-}
-
-// --- Per-family loaders -------------------------------------------------------
-
-Result<std::unique_ptr<Classifier>> LoadLogisticRegression(std::istream& is) {
-  std::vector<double> coefficients;
-  double intercept = 0.0;
-  Status status = ReadVector(is, "logistic_regression coefficients", &coefficients);
-  if (!status.ok()) return status;
-  if (!(is >> intercept)) {
-    return TextError(is, "logistic_regression intercept");
-  }
-  return std::unique_ptr<Classifier>(
-      std::make_unique<LogisticRegressionModel>(std::move(coefficients), intercept));
-}
-
-Result<std::unique_ptr<Classifier>> LoadNaiveBayes(std::istream& is) {
-  double log_prior_ratio = 0.0;
-  std::vector<double> mean0;
-  std::vector<double> mean1;
-  std::vector<double> var0;
-  std::vector<double> var1;
-  if (!(is >> log_prior_ratio)) return TextError(is, "naive_bayes prior");
-  Status status = ReadVector(is, "naive_bayes mean0", &mean0);
-  if (status.ok()) status = ReadVector(is, "naive_bayes mean1", &mean1);
-  if (status.ok()) status = ReadVector(is, "naive_bayes var0", &var0);
-  if (status.ok()) status = ReadVector(is, "naive_bayes var1", &var1);
-  if (!status.ok()) return status;
-  return std::unique_ptr<Classifier>(std::make_unique<NaiveBayesModel>(
-      log_prior_ratio, std::move(mean0), std::move(mean1), std::move(var0),
-      std::move(var1)));
-}
-
-Result<std::unique_ptr<Classifier>> LoadDecisionTree(std::istream& is) {
-  std::vector<DecisionTreeModel::Node> nodes;
-  Status status = ReadTreeNodes(is, "decision_tree", &nodes);
-  if (!status.ok()) return status;
-  return std::unique_ptr<Classifier>(
-      std::make_unique<DecisionTreeModel>(std::move(nodes)));
-}
-
-Result<std::unique_ptr<Classifier>> LoadRandomForest(std::istream& is) {
-  size_t num_trees = 0;
-  if (!(is >> num_trees)) return TextError(is, "random_forest tree count");
-  if (num_trees > kMaxCount) {
-    return Status::InvalidArgument("random_forest claims " +
-                                   std::to_string(num_trees) + " trees" +
-                                   AtByte(is));
-  }
-  std::vector<std::unique_ptr<Classifier>> trees;
-  trees.reserve(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    std::vector<DecisionTreeModel::Node> nodes;
-    Status status =
-        ReadTreeNodes(is, "forest tree " + std::to_string(t), &nodes);
-    if (!status.ok()) return status;
-    trees.push_back(std::make_unique<DecisionTreeModel>(std::move(nodes)));
-  }
-  return std::unique_ptr<Classifier>(
-      std::make_unique<RandomForestModel>(std::move(trees)));
-}
-
-Result<std::unique_ptr<Classifier>> LoadGbdt(std::istream& is) {
-  double base_score = 0.0;
-  double learning_rate = 0.0;
-  size_t num_trees = 0;
-  if (!(is >> base_score >> learning_rate >> num_trees)) {
-    return TextError(is, "gbdt header");
-  }
-  if (num_trees > kMaxCount) {
-    return Status::InvalidArgument("gbdt claims " + std::to_string(num_trees) +
-                                   " trees" + AtByte(is));
-  }
-  std::vector<std::vector<GbdtTreeNode>> trees(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    Status status =
-        ReadGbdtNodes(is, "gbdt tree " + std::to_string(t), &trees[t]);
-    if (!status.ok()) return status;
-  }
-  return std::unique_ptr<Classifier>(
-      std::make_unique<GbdtModel>(std::move(trees), base_score, learning_rate));
-}
-
-Result<std::unique_ptr<Classifier>> LoadMlp(std::istream& is) {
-  size_t hidden = 0;
-  size_t inputs = 0;
-  if (!(is >> hidden >> inputs)) return TextError(is, "mlp dimensions");
-  if (hidden > kMaxCount || inputs > kMaxCount ||
-      (inputs != 0 && hidden > kMaxCount / inputs)) {
-    return Status::InvalidArgument("mlp claims a " + std::to_string(hidden) +
-                                   "x" + std::to_string(inputs) +
-                                   " hidden layer" + AtByte(is));
-  }
-  Matrix W1(hidden, inputs);
-  for (size_t r = 0; r < hidden; ++r) {
-    for (size_t c = 0; c < inputs; ++c) {
-      if (!(is >> W1(r, c))) return TextError(is, "mlp W1");
-    }
-  }
-  std::vector<double> b1;
-  std::vector<double> w2;
-  double b2 = 0.0;
-  Status status = ReadVector(is, "mlp b1", &b1);
-  if (status.ok()) status = ReadVector(is, "mlp w2", &w2);
-  if (!status.ok()) return status;
-  if (!(is >> b2)) return TextError(is, "mlp b2");
-  return std::unique_ptr<Classifier>(std::make_unique<MlpModel>(
-      std::move(W1), std::move(b1), std::move(w2), b2));
-}
-
-}  // namespace
-
-Status SerializeModel(const Classifier& model, std::ostream& os) {
-  os.precision(17);
-  os << kMagic << " " << model.Name() << " " << kVersion << "\n";
-  if (const auto* lr = dynamic_cast<const LogisticRegressionModel*>(&model)) {
-    WriteVector(os, lr->coefficients());
-    os << lr->intercept() << "\n";
-    return Status::Ok();
-  }
-  if (const auto* nb = dynamic_cast<const NaiveBayesModel*>(&model)) {
-    os << nb->log_prior_ratio() << "\n";
-    WriteVector(os, nb->mean0());
-    WriteVector(os, nb->mean1());
-    WriteVector(os, nb->var0());
-    WriteVector(os, nb->var1());
-    return Status::Ok();
-  }
-  if (const auto* dt = dynamic_cast<const DecisionTreeModel*>(&model)) {
-    WriteTreeNodes(os, dt->nodes());
-    return Status::Ok();
-  }
-  if (const auto* rf = dynamic_cast<const RandomForestModel*>(&model)) {
-    os << rf->trees().size() << "\n";
-    for (const auto& tree : rf->trees()) {
-      const auto* tree_model = dynamic_cast<const DecisionTreeModel*>(tree.get());
-      if (tree_model == nullptr) {
-        return Status::Unsupported("forest contains a non-CART member");
-      }
-      WriteTreeNodes(os, tree_model->nodes());
-    }
-    return Status::Ok();
-  }
-  if (const auto* gbdt = dynamic_cast<const GbdtModel*>(&model)) {
-    os << gbdt->base_score() << " " << gbdt->learning_rate() << " "
-       << gbdt->trees().size() << "\n";
-    for (const auto& tree : gbdt->trees()) WriteGbdtNodes(os, tree);
-    return Status::Ok();
-  }
-  if (const auto* mlp = dynamic_cast<const MlpModel*>(&model)) {
-    os << mlp->W1().rows() << " " << mlp->W1().cols() << "\n";
-    for (size_t r = 0; r < mlp->W1().rows(); ++r) {
-      for (size_t c = 0; c < mlp->W1().cols(); ++c) {
-        os << mlp->W1()(r, c) << (c + 1 == mlp->W1().cols() ? "\n" : " ");
-      }
-    }
-    WriteVector(os, mlp->b1());
-    WriteVector(os, mlp->w2());
-    os << mlp->b2() << "\n";
-    return Status::Ok();
-  }
-  return Status::Unsupported("no serializer for model family " + model.Name());
-}
-
-Status SaveModel(const Classifier& model, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return IoError(path, "open");
-  Status status = SerializeModel(model, out);
-  if (!status.ok()) return status;
-  out.flush();
-  if (!out) return IoError(path, "write");
-  return Status::Ok();
-}
-
-Result<std::unique_ptr<Classifier>> DeserializeModel(std::istream& is) {
-  std::string magic;
-  std::string family;
-  int version = 0;
-  if (!(is >> magic >> family >> version) || magic != kMagic) {
-    return Status::InvalidArgument("not an omnifair model file");
-  }
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported model version " +
-                                   std::to_string(version));
-  }
-  if (family == "logistic_regression") return LoadLogisticRegression(is);
-  if (family == "naive_bayes") return LoadNaiveBayes(is);
-  if (family == "decision_tree") return LoadDecisionTree(is);
-  if (family == "random_forest") return LoadRandomForest(is);
-  if (family == "gbdt") return LoadGbdt(is);
-  if (family == "mlp") return LoadMlp(is);
-  return Status::Unsupported("unknown model family " + family);
-}
-
-Result<std::unique_ptr<Classifier>> LoadModel(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return IoError(path, "open");
-  return DeserializeModel(in);
-}
-
 // --- Binary codec ------------------------------------------------------------
-
-namespace {
 
 enum BinaryFamilyTag : uint8_t {
   kTagLr = 1,

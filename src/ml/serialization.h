@@ -2,10 +2,7 @@
 #define OMNIFAIR_ML_SERIALIZATION_H_
 
 #include <cstdint>
-#include <istream>
 #include <memory>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "ml/classifier.h"
@@ -14,27 +11,14 @@
 
 namespace omnifair {
 
-/// Saves a trained model in the library's line-oriented text format.
-/// Supported families: logistic_regression, naive_bayes, decision_tree,
-/// random_forest, gbdt, mlp. Returns kUnsupported for other classifiers
-/// (e.g. the ExpGrad ensemble).
-Status SerializeModel(const Classifier& model, std::ostream& os);
-Status SaveModel(const Classifier& model, const std::string& path);
-
-/// Loads a model written by SerializeModel/SaveModel. Malformed input yields
-/// typed statuses with byte context: kDataLoss for truncation, and
-/// kInvalidArgument for content that parses but cannot describe a valid
-/// model (unknown node kinds, out-of-range tree child indices, absurd
-/// counts). Tree payloads are validated so a hostile file can never make
-/// Predict read out of bounds or loop forever.
-Result<std::unique_ptr<Classifier>> DeserializeModel(std::istream& is);
-Result<std::unique_ptr<Classifier>> LoadModel(const std::string& path);
-
 /// Compact binary model codec over the snapshot byte layer (util/snapshot_io).
 /// Doubles are stored as raw IEEE-754 bits, so a deserialized model is
 /// bit-identical to the original — the property the checkpoint/resume layer
-/// depends on. Same families as the text format; other classifiers return
-/// kUnsupported.
+/// depends on (DESIGN.md §12). Supported families: logistic_regression,
+/// naive_bayes, decision_tree, random_forest, gbdt, mlp; other classifiers
+/// (e.g. the ExpGrad ensemble) return kUnsupported. Tree payloads are
+/// structurally validated on load, so hostile bytes can never make Predict
+/// read out of bounds or loop forever.
 Status SerializeModelBinary(const Classifier& model, BinaryWriter& writer);
 /// Consumes one model from `reader` (as written by SerializeModelBinary).
 /// Corrupt payloads yield kDataLoss with the failing byte offset.

@@ -1,5 +1,6 @@
-# Runs omnifair_cli with an unknown --model and an unknown --metric and
-# requires a usage error (exit 2) naming the accepted values, not an abort.
+# Runs omnifair_cli with an unknown --model or --metric, a malformed numeric
+# flag, or a flag combination it cannot honour, and requires a usage error
+# (exit 2) naming the problem, not an abort or a silently different run.
 # Invoked by the cli_bad_names ctest target (tests/CMakeLists.txt) as:
 #   cmake -D CLI=.../omnifair_cli -D OUT_DIR=... -P cli_bad_names.cmake
 
@@ -38,7 +39,15 @@ expect_usage_error("train --metric bogus" "accepted: sp, mr, fpr, fnr, for, fdr"
 expect_usage_error("explain --stream --model foo" "accepted: lr"
                    explain ${common} --stream --model foo)
 expect_usage_error("audit --metric bogus" "accepted: sp"
-                   audit ${common} --metric bogus --model-file ${OUT_DIR}/none.txt)
-expect_usage_error("bundle pack --metric bogus" "accepted: sp"
-                   bundle pack ${OUT_DIR}/none.txt ${OUT_DIR}/none.ofb
-                   --metric bogus)
+                   audit ${common} --metric bogus --bundle ${OUT_DIR}/none.ofb)
+expect_usage_error("train --epsilon 0.o3" "--epsilon '0.o3'"
+                   train ${common} --epsilon 0.o3)
+expect_usage_error("synth --rows 1e3" "--rows '1e3'"
+                   synth --dataset compas --rows 1e3 --out ${OUT_DIR}/rows.csv)
+file(REMOVE ${data}.ofcd)
+expect_usage_error("train --stream --out" "--out is not supported with --stream"
+                   train ${common} --stream --out ${OUT_DIR}/stream.ofb)
+# Rejected before ingest: no chunked spill next to the CSV.
+if(EXISTS ${data}.ofcd)
+  message(FATAL_ERROR "train --stream --out ingested ${data}.ofcd before failing")
+endif()

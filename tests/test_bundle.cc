@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/omnifair.h"
+#include "data/datasets.h"
 #include "data/encoder.h"
+#include "data/split.h"
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
 #include "ml/logistic_regression.h"
@@ -229,6 +232,49 @@ TEST_F(BundleTest, MetaAndEncoderRoundTrip) {
   for (size_t i = 0; i < X_.rows(); ++i) {
     for (size_t c = 0; c < X_.cols(); ++c) EXPECT_EQ(X2(i, c), X_(i, c));
   }
+}
+
+TEST(FairModelBundleTest, TrainedFairModelRoundTrip) {
+  // A bundle is the one model file a trained FairModel is saved to: its meta
+  // carries the tuned λ exactly, and its encoder + flat model reproduce the
+  // FairModel's predictions and audit on raw rows.
+  SyntheticOptions options;
+  options.num_rows = 2000;
+  const Dataset dataset = MakeCompasDataset(options);
+  const TrainValTestSplit split = SplitDefault(dataset, 5);
+  const FairnessSpec spec = MakeSpec(
+      GroupByAttributeValues("race", {"African-American", "Caucasian"}), "sp",
+      0.05);
+  auto trainer = MakeTrainer("lr");
+  auto fair = OmniFair().Train(split.train, split.val, trainer.get(), {spec});
+  ASSERT_TRUE(fair.ok()) << fair.status();
+
+  BundleMeta meta;
+  meta.lambdas = fair->lambdas;
+  meta.satisfied = fair->satisfied;
+  meta.val_accuracy = fair->val_accuracy;
+  const std::string path = TempPath("fair_model.ofb");
+  ASSERT_TRUE(WriteBundle(*fair->model, fair->encoder, meta, path).ok());
+  auto bundle = ModelBundle::Open(path);
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+
+  EXPECT_EQ((*bundle)->meta().lambdas, fair->lambdas);
+  EXPECT_EQ((*bundle)->meta().satisfied, fair->satisfied);
+  EXPECT_EQ((*bundle)->meta().val_accuracy, fair->val_accuracy);
+  const Matrix want = fair->encoder.Transform(split.test);
+  const Matrix got = (*bundle)->encoder().Transform(split.test);
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (size_t i = 0; i < want.rows(); ++i) {
+    for (size_t c = 0; c < want.cols(); ++c) EXPECT_EQ(got(i, c), want(i, c));
+  }
+  const std::unique_ptr<Classifier> model = (*bundle)->MakeModel();
+  EXPECT_EQ(model->Predict(got), fair->Predict(split.test));
+  auto original_audit = Audit(*fair->model, fair->encoder, split.test, {spec});
+  auto bundle_audit = Audit(*model, (*bundle)->encoder(), split.test, {spec});
+  ASSERT_TRUE(original_audit.ok());
+  ASSERT_TRUE(bundle_audit.ok());
+  EXPECT_EQ(bundle_audit->max_disparity, original_audit->max_disparity);
 }
 
 TEST_F(BundleTest, InspectReportsSectionsAndCrc) {

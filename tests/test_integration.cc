@@ -1,5 +1,5 @@
 // End-to-end integration tests: the full pipeline (synthetic data -> split
-// -> declarative spec -> train -> audit -> serialize -> reload) across all
+// -> declarative spec -> train -> audit -> bundle -> reload) across all
 // four paper datasets and the main metric families. These are the "does
 // the whole system hold together" checks, complementing the per-module
 // unit suites.
@@ -13,7 +13,7 @@
 #include "data/csv.h"
 #include "data/datasets.h"
 #include "data/split.h"
-#include "ml/serialization.h"
+#include "ml/bundle.h"
 #include "ml/trainer_registry.h"
 
 namespace omnifair {
@@ -74,11 +74,12 @@ TEST(IntegrationTest, TrainSaveReloadPredictMatches) {
   auto fair = omnifair.Train(split.train, split.val, trainer.get(), {spec});
   ASSERT_TRUE(fair.ok());
 
-  const std::string path = ::testing::TempDir() + "/integration_bundle.txt";
-  ASSERT_TRUE(SaveFairModel(*fair, path).ok());
-  auto reloaded = LoadFairModel(path);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ(reloaded->Predict(split.test), fair->Predict(split.test));
+  const std::string path = ::testing::TempDir() + "/integration_bundle.ofb";
+  ASSERT_TRUE(WriteBundle(*fair->model, fair->encoder, BundleMeta{}, path).ok());
+  auto bundle = ModelBundle::Open(path);
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  const Matrix X = (*bundle)->encoder().Transform(split.test);
+  EXPECT_EQ((*bundle)->MakeModel()->Predict(X), fair->Predict(split.test));
 }
 
 TEST(IntegrationTest, PipelineIsDeterministic) {

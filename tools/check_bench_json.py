@@ -60,9 +60,8 @@ PER_BENCH_SECTIONS = {
                                 "resume_seconds", "checkpoint_bytes"],
     },
     "serving": {
-        "bundle_load": ["fit_seconds", "text_load_seconds",
-                        "bundle_load_seconds", "load_speedup",
-                        "text_bytes", "bundle_bytes"],
+        "bundle_load": ["fit_seconds", "bundle_load_seconds",
+                        "bundle_bytes"],
         "serving_closed": ["batch_rows", "requests", "rows", "qps",
                            "p50_us", "p99_us"],
         "serving_open": ["max_in_flight", "offered", "completed",

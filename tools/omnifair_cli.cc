@@ -4,23 +4,23 @@
 //   # Generate a synthetic benchmark dataset as CSV:
 //   omnifair_cli synth --dataset compas --rows 8000 --out compas.csv
 //
-//   # Train under a declarative constraint and save the bundle:
+//   # Train under a declarative constraint and save the model bundle:
 //   omnifair_cli train --data compas.csv --label two_year_recid \
 //       --sensitive race --metric sp --epsilon 0.03 --model lr \
-//       --out fair_model.txt
+//       --out fair_model.ofb
 //
 //   # Profile a dataset's columns and group base rates:
 //   omnifair_cli profile --data compas.csv --label two_year_recid \
 //       --sensitive race
 //
-//   # Audit a saved bundle on fresh data:
+//   # Audit the bundle on fresh data (predict and serve read it too):
 //   omnifair_cli audit --data holdout.csv --label two_year_recid \
-//       --sensitive race --metric sp --epsilon 0.03 \
-//       --model-file fair_model.txt
+//       --sensitive race --metric sp --epsilon 0.03 --bundle fair_model.ofb
 //
 // Metrics: sp, mr, fpr, fnr, for, fdr. Models: lr, dt, rf, xgb, nn, nb.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -54,23 +54,40 @@ struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
   /// Bare (non `--flag`) operands after the command, in order — used by the
-  /// `bundle pack <model> <bundle>` / `bundle inspect <bundle>` forms.
+  /// `bundle inspect <bundle>` form.
   std::vector<std::string> positional;
 
   std::string Get(const std::string& key, const std::string& fallback = "") const {
     auto it = flags.find(key);
     return it != flags.end() ? it->second : fallback;
   }
+  /// Numeric accessors: a present but malformed value (`0.o3`, `1e3` for an
+  /// integer) is a usage error that exits 2 naming the flag, never a
+  /// silently different number.
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
     if (it == flags.end()) return fallback;
-    double value = fallback;
-    ParseDouble(it->second, &value);
+    double value = 0.0;
+    if (!ParseDouble(it->second, &value)) BadNumber(key, it->second);
     return value;
   }
   long GetLong(const std::string& key, long fallback) const {
     auto it = flags.find(key);
-    return it != flags.end() ? std::atol(it->second.c_str()) : fallback;
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    long value = 0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || ptr != text.data() + text.size()) {
+      BadNumber(key, text);
+    }
+    return value;
+  }
+  [[noreturn]] static void BadNumber(const std::string& key,
+                                     const std::string& value) {
+    std::fprintf(stderr, "error: --%s '%s' is not a valid number\n",
+                 key.c_str(), value.c_str());
+    std::exit(2);
   }
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
 };
@@ -89,7 +106,7 @@ int Usage() {
                "        (mini-batch SGD for lr/nn; batch-size 0 = full batch)\n"
                "        [--stream]   (out-of-core: --data is a .ofcd chunked file,\n"
                "        or a CSV ingested to <data>.ofcd first; lr + sp/mr/fpr/fnr)\n"
-               "        [--positive-label VALUE] [--out model.txt]\n"
+               "        [--positive-label VALUE] [--out model.ofb]   (not with --stream)\n"
                "        [--checkpoint ckpt.bin] [--checkpoint-interval SECONDS]\n"
                "        [--resume [ckpt.bin]]   (resume a killed tuning run)\n"
                "        [--profile-out profile.json]\n"
@@ -97,12 +114,9 @@ int Usage() {
                "  profile --data data.csv --label COLUMN [--sensitive COLUMN]\n"
                "  audit --data data.csv --label COLUMN --sensitive COLUMN\n"
                "        [--metric sp] [--epsilon 0.05] [--positive-label VALUE]\n"
-               "        --model-file model.txt\n"
-               "  bundle pack model.txt model.ofb\n"
-               "        [--metric sp] [--sensitive COLUMN] [--epsilon 0.05]\n"
+               "        --bundle model.ofb\n"
                "  bundle inspect model.ofb\n"
-               "  predict --data data.csv --label COLUMN\n"
-               "        (--bundle model.ofb | --model-file model.txt)\n"
+               "  predict --data data.csv --label COLUMN --bundle model.ofb\n"
                "        [--threshold 0.5] [--out scores.txt]\n"
                "  serve --bundle model.ofb --data data.csv --label COLUMN\n"
                "        [--group COLUMN] [--batch 256] [--repeat 1]\n"
@@ -217,12 +231,26 @@ int RunStreamTrain(const Args& args, bool explain) {
     std::fprintf(stderr, "error: --stream supports --model lr only\n");
     return 2;
   }
+  // Streamed tuning writes no model file; refuse --out before ingest rather
+  // than exit 0 with nothing written.
+  if (args.Has("out")) {
+    std::fprintf(stderr, "error: --out is not supported with --stream\n");
+    return 2;
+  }
   StreamTuneOptions tune;
   if (!MetricKindByName(args.Get("metric", "sp"), &tune.metric)) {
     std::fprintf(stderr,
                  "error: --stream supports prediction-independent metrics "
                  "only (sp|mr|fpr|fnr)\n");
     return 2;
+  }
+  tune.epsilon = args.GetDouble("epsilon", 0.05);
+  const long batch = args.GetLong("batch-size", 4096);
+  if (batch > 0) tune.batch_size = static_cast<size_t>(batch);
+  tune.epochs = static_cast<int>(args.GetLong("epochs", 3));
+  tune.shuffle_seed = static_cast<uint64_t>(args.GetLong("seed", 42));
+  if (args.Get("lr-schedule") == "invsqrt") {
+    tune.lr_schedule = LrSchedule::kInvSqrt;
   }
 
   const bool profiling =
@@ -275,14 +303,6 @@ int RunStreamTrain(const Args& args, bool explain) {
   }
   tune.group1 = static_cast<size_t>(g1);
   tune.group2 = static_cast<size_t>(g2);
-  tune.epsilon = args.GetDouble("epsilon", 0.05);
-  const long batch = args.GetLong("batch-size", 4096);
-  if (batch > 0) tune.batch_size = static_cast<size_t>(batch);
-  tune.epochs = static_cast<int>(args.GetLong("epochs", 3));
-  tune.shuffle_seed = static_cast<uint64_t>(args.GetLong("seed", 42));
-  if (args.Get("lr-schedule") == "invsqrt") {
-    tune.lr_schedule = LrSchedule::kInvSqrt;
-  }
 
   Result<StreamTuneResult> tuned = [&]() -> Result<StreamTuneResult> {
     RunStageTimer timer(profiling ? &profiler : nullptr,
@@ -391,7 +411,14 @@ int RunTrain(const Args& args, bool explain) {
 
   const std::string out = args.Get("out");
   if (!out.empty()) {
-    const Status status = SaveFairModel(*fair, out);
+    BundleMeta meta;
+    meta.lambdas = fair->lambdas;
+    meta.satisfied = fair->satisfied;
+    meta.val_accuracy = fair->val_accuracy;
+    meta.metric = args.Get("metric", "sp");
+    meta.sensitive_attribute = args.Get("sensitive");
+    meta.epsilon = spec.epsilon;
+    const Status status = WriteBundle(*fair->model, fair->encoder, meta, out);
     if (!status.ok()) {
       std::fprintf(stderr, "error saving model: %s\n", status.ToString().c_str());
       return 1;
@@ -419,7 +446,7 @@ int RunProfile(const Args& args) {
 }
 
 int RunAudit(const Args& args) {
-  if (!args.Has("data") || !args.Has("sensitive") || !args.Has("model-file")) {
+  if (!args.Has("data") || !args.Has("sensitive") || !args.Has("bundle")) {
     return Usage();
   }
   if (!CheckName("metric", args.Get("metric", "sp"), MetricNames())) return 2;
@@ -428,15 +455,17 @@ int RunAudit(const Args& args) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  Result<FairModel> fair = LoadFairModel(args.Get("model-file"));
-  if (!fair.ok()) {
-    std::fprintf(stderr, "error: %s\n", fair.status().ToString().c_str());
+  Result<std::shared_ptr<const ModelBundle>> bundle =
+      ModelBundle::Open(args.Get("bundle"));
+  if (!bundle.ok()) {
+    std::fprintf(stderr, "error: %s\n", bundle.status().ToString().c_str());
     return 1;
   }
   const FairnessSpec spec = MakeSpec(GroupByAttribute(args.Get("sensitive")),
                                      args.Get("metric", "sp"),
                                      args.GetDouble("epsilon", 0.05));
-  auto audit = Audit(*fair->model, fair->encoder, *dataset, {spec});
+  auto audit = Audit(*(*bundle)->MakeModel(), (*bundle)->encoder(), *dataset,
+                     {spec});
   if (!audit.ok()) {
     std::fprintf(stderr, "error: %s\n", audit.status().ToString().c_str());
     return 1;
@@ -446,92 +475,39 @@ int RunAudit(const Args& args) {
   return audit->satisfied ? 0 : 3;
 }
 
-/// `bundle pack model.txt model.ofb` / `bundle inspect model.ofb`.
+/// `bundle inspect model.ofb`: header, section table and CRC status.
 int RunBundle(const Args& args) {
-  if (args.positional.empty()) return Usage();
-  const std::string& sub = args.positional[0];
-  if (sub == "pack") {
-    if (args.positional.size() != 3) return Usage();
-    if (args.Has("metric") &&
-        !CheckName("metric", args.Get("metric"), MetricNames())) {
-      return 2;
-    }
-    Result<FairModel> fair = LoadFairModel(args.positional[1]);
-    if (!fair.ok()) {
-      std::fprintf(stderr, "error: %s\n", fair.status().ToString().c_str());
-      return 1;
-    }
-    BundleMeta meta;
-    meta.lambdas = fair->lambdas;
-    meta.satisfied = fair->satisfied;
-    meta.val_accuracy = fair->val_accuracy;
-    meta.metric = args.Get("metric");
-    meta.sensitive_attribute = args.Get("sensitive");
-    meta.epsilon = args.GetDouble("epsilon", 0.0);
-    const Status status =
-        WriteBundle(*fair->model, fair->encoder, meta, args.positional[2]);
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    Result<BundleInspection> inspection = InspectBundle(args.positional[2]);
-    if (!inspection.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   inspection.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("packed %s -> %s (%llu bytes, %zu sections)\n",
-                args.positional[1].c_str(), args.positional[2].c_str(),
-                static_cast<unsigned long long>(inspection->file_size),
-                inspection->sections.size());
-    return 0;
+  if (args.positional.size() != 2 || args.positional[0] != "inspect") {
+    return Usage();
   }
-  if (sub == "inspect") {
-    if (args.positional.size() != 2) return Usage();
-    Result<BundleInspection> inspection = InspectBundle(args.positional[1]);
-    if (!inspection.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   inspection.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s", inspection->ToString().c_str());
-    return inspection->crc_ok ? 0 : 1;
+  Result<BundleInspection> inspection = InspectBundle(args.positional[1]);
+  if (!inspection.ok()) {
+    std::fprintf(stderr, "error: %s\n", inspection.status().ToString().c_str());
+    return 1;
   }
-  return Usage();
+  std::printf("%s", inspection->ToString().c_str());
+  return inspection->crc_ok ? 0 : 1;
 }
 
 /// Single-encode batch scoring: parse the CSV once, encode once, predict.
 /// (`audit` re-derives groups and constraint metrics; this path is for raw
-/// deployment scoring and takes either artifact format.)
+/// deployment scoring.)
 int RunPredict(const Args& args) {
-  if (!args.Has("data") || (!args.Has("bundle") && !args.Has("model-file"))) {
-    return Usage();
-  }
+  if (!args.Has("data") || !args.Has("bundle")) return Usage();
   Result<Dataset> dataset = LoadCsvDataset(args);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
     return 1;
   }
   const double threshold = args.GetDouble("threshold", 0.5);
-  std::vector<double> scores;
-  if (args.Has("bundle")) {
-    Result<std::shared_ptr<const ModelBundle>> bundle =
-        ModelBundle::Open(args.Get("bundle"));
-    if (!bundle.ok()) {
-      std::fprintf(stderr, "error: %s\n", bundle.status().ToString().c_str());
-      return 1;
-    }
-    const Matrix X = (*bundle)->encoder().Transform(*dataset);
-    scores = (*bundle)->MakeModel()->PredictProba(X);
-  } else {
-    Result<FairModel> fair = LoadFairModel(args.Get("model-file"));
-    if (!fair.ok()) {
-      std::fprintf(stderr, "error: %s\n", fair.status().ToString().c_str());
-      return 1;
-    }
-    const Matrix X = fair->encoder.Transform(*dataset);
-    scores = fair->model->PredictProba(X);
+  Result<std::shared_ptr<const ModelBundle>> bundle =
+      ModelBundle::Open(args.Get("bundle"));
+  if (!bundle.ok()) {
+    std::fprintf(stderr, "error: %s\n", bundle.status().ToString().c_str());
+    return 1;
   }
+  const Matrix X = (*bundle)->encoder().Transform(*dataset);
+  const std::vector<double> scores = (*bundle)->MakeModel()->PredictProba(X);
   size_t positives = 0;
   double score_sum = 0.0;
   for (const double s : scores) {
@@ -582,21 +558,23 @@ int RunServe(const Args& args) {
     std::fprintf(stderr, "error: %s\n", bundle.status().ToString().c_str());
     return 1;
   }
+  // Every numeric flag is read before the server starts its workers.
   ServerOptions options;
   options.num_threads = static_cast<int>(args.GetLong("threads", 1));
   options.max_in_flight = static_cast<int>(args.GetLong("queue", 32));
+  const double threshold = args.GetDouble("threshold", 0.5);
+  const size_t batch =
+      std::max<size_t>(1, static_cast<size_t>(args.GetLong("batch", 256)));
+  const long repeat = std::max(1L, args.GetLong("repeat", 1));
   BundleServer server(*bundle, options);
 
-  Result<PredictRequest> full = MakeRequest(
-      **bundle, *dataset, args.Get("group"), args.GetDouble("threshold", 0.5));
+  Result<PredictRequest> full =
+      MakeRequest(**bundle, *dataset, args.Get("group"), threshold);
   if (!full.ok()) {
     std::fprintf(stderr, "error: %s\n", full.status().ToString().c_str());
     return 1;
   }
   const size_t n = full->features.rows();
-  const size_t batch =
-      std::max<size_t>(1, static_cast<size_t>(args.GetLong("batch", 256)));
-  const long repeat = std::max(1L, args.GetLong("repeat", 1));
 
   // Pre-slice the encoded matrix into batch requests (encode cost stays out
   // of the serving loop).
