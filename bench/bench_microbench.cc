@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "bench/bench_common.h"
@@ -256,23 +257,56 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
   BenchReporter& out_;
 };
 
-/// Median-free ns-per-call timer: doubles the repetition count until one
-/// timed batch exceeds ~10 ms, which washes out clock granularity without
-/// needing google-benchmark's machinery (both tables must run in the same
-/// process for a machine-relative ratio).
-template <typename Fn>
-double TimePerCallNs(Fn&& fn) {
+/// Scalar-vs-active timing of one kernel.
+struct KernelTiming {
+  double scalar_ns = 0.0;  ///< median ns per call
+  double active_ns = 0.0;  ///< median ns per call
+  double speedup = 0.0;    ///< median of the per-trial scalar/active ratios
+};
+
+/// Times `scalar` and `active` in kKernelTrials alternating trials (the side
+/// that goes first swaps every trial), each a batch of >= 2 ms. A burst of
+/// load from other tenants then lands on both sides of one trial, and the
+/// median ratio ignores the few trials it skews, where a single sample per
+/// side would report the burst as a regression.
+template <typename ScalarFn, typename ActiveFn>
+KernelTiming TimeScalarVsActive(ScalarFn&& scalar, ActiveFn&& active) {
+  constexpr int kKernelTrials = 21;
   using Clock = std::chrono::steady_clock;
-  fn();  // warm up: fault pages in, resolve the dispatch table
-  long reps = 1;
-  for (;;) {
+  auto batch_ns = [](auto& fn, long reps) {
     const auto start = Clock::now();
     for (long r = 0; r < reps; ++r) fn();
-    const double ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count();
-    if (ns >= 1e7 || reps >= (1L << 24)) return ns / static_cast<double>(reps);
-    reps *= 4;
+    return std::chrono::duration<double, std::nano>(Clock::now() - start).count();
+  };
+  auto calibrate = [&](auto& fn) {
+    fn();  // warm up: fault pages in, resolve the dispatch table
+    long reps = 1;
+    while (batch_ns(fn, reps) < 2e6 && reps < (1L << 24)) reps *= 2;
+    return reps;
+  };
+  const long scalar_reps = calibrate(scalar);
+  const long active_reps = calibrate(active);
+  std::vector<double> scalar_ns, active_ns, ratios;
+  for (int trial = 0; trial < kKernelTrials; ++trial) {
+    double s = 0.0;
+    double a = 0.0;
+    if (trial % 2 == 0) {
+      s = batch_ns(scalar, scalar_reps) / static_cast<double>(scalar_reps);
+      a = batch_ns(active, active_reps) / static_cast<double>(active_reps);
+    } else {
+      a = batch_ns(active, active_reps) / static_cast<double>(active_reps);
+      s = batch_ns(scalar, scalar_reps) / static_cast<double>(scalar_reps);
+    }
+    scalar_ns.push_back(s);
+    active_ns.push_back(a);
+    ratios.push_back(s / a);
   }
+  auto median = [](std::vector<double> values) {
+    std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                     values.end());
+    return values[values.size() / 2];
+  };
+  return {median(scalar_ns), median(active_ns), median(ratios)};
 }
 
 /// One "kernel_speedup" row comparing the active backend against the scalar
@@ -299,41 +333,41 @@ void ReportKernelSpeedups(BenchReporter& out) {
   row.Value("n", static_cast<double>(n));
   std::printf("\nkernel_speedup (n=%zu, backend=%s)\n", n,
               simd::BackendName(simd::ActiveBackend()));
-  auto add = [&](const char* name, double scalar_ns, double simd_ns) {
-    const double speedup = scalar_ns / simd_ns;
-    row.Value(std::string(name) + "_scalar_ns", scalar_ns)
-        .Value(std::string(name) + "_simd_ns", simd_ns);
-    if (vectorized) row.Value(std::string(name) + "_speedup", speedup);
+  auto add = [&](const char* name, const KernelTiming& timing) {
+    row.Value(std::string(name) + "_scalar_ns", timing.scalar_ns)
+        .Value(std::string(name) + "_simd_ns", timing.active_ns);
+    if (vectorized) row.Value(std::string(name) + "_speedup", timing.speedup);
     std::printf("  %-10s scalar %9.1f ns   active %9.1f ns   speedup %5.2fx\n",
-                name, scalar_ns, simd_ns, speedup);
+                name, timing.scalar_ns, timing.active_ns, timing.speedup);
   };
-  add("dot",
-      TimePerCallNs([&] { benchmark::DoNotOptimize(scalar.dot(a.data(), b.data(), n)); }),
-      TimePerCallNs([&] { benchmark::DoNotOptimize(active.dot(a.data(), b.data(), n)); }));
-  add("axpy",
-      TimePerCallNs([&] {
-        scalar.axpy(1e-9, b.data(), acc.data(), n);
-        benchmark::ClobberMemory();
-      }),
-      TimePerCallNs([&] {
-        active.axpy(1e-9, b.data(), acc.data(), n);
-        benchmark::ClobberMemory();
-      }));
-  add("sum",
-      TimePerCallNs([&] { benchmark::DoNotOptimize(scalar.sum(a.data(), n)); }),
-      TimePerCallNs([&] { benchmark::DoNotOptimize(active.sum(a.data(), n)); }));
-  add("sigmoid",
-      TimePerCallNs([&] {
-        scalar.sigmoid_inplace(v.data(), n);
-        benchmark::ClobberMemory();
-      }),
-      TimePerCallNs([&] {
-        active.sigmoid_inplace(v.data(), n);
-        benchmark::ClobberMemory();
-      }));
+  add("dot", TimeScalarVsActive(
+                 [&] { benchmark::DoNotOptimize(scalar.dot(a.data(), b.data(), n)); },
+                 [&] { benchmark::DoNotOptimize(active.dot(a.data(), b.data(), n)); }));
+  add("axpy", TimeScalarVsActive(
+                  [&] {
+                    scalar.axpy(1e-9, b.data(), acc.data(), n);
+                    benchmark::ClobberMemory();
+                  },
+                  [&] {
+                    active.axpy(1e-9, b.data(), acc.data(), n);
+                    benchmark::ClobberMemory();
+                  }));
+  add("sum", TimeScalarVsActive(
+                 [&] { benchmark::DoNotOptimize(scalar.sum(a.data(), n)); },
+                 [&] { benchmark::DoNotOptimize(active.sum(a.data(), n)); }));
+  add("sigmoid", TimeScalarVsActive(
+                     [&] {
+                       scalar.sigmoid_inplace(v.data(), n);
+                       benchmark::ClobberMemory();
+                     },
+                     [&] {
+                       active.sigmoid_inplace(v.data(), n);
+                       benchmark::ClobberMemory();
+                     }));
   add("dot_f32",
-      TimePerCallNs([&] { benchmark::DoNotOptimize(scalar.dot_f32(f.data(), b.data(), n)); }),
-      TimePerCallNs([&] { benchmark::DoNotOptimize(active.dot_f32(f.data(), b.data(), n)); }));
+      TimeScalarVsActive(
+          [&] { benchmark::DoNotOptimize(scalar.dot_f32(f.data(), b.data(), n)); },
+          [&] { benchmark::DoNotOptimize(active.dot_f32(f.data(), b.data(), n)); }));
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 #include "data/csv.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
+#include "data/csv_parser.h"
 #include "util/status.h"
 #include "util/string_utils.h"
 
@@ -44,170 +45,72 @@ bool SplitCsvRecord(std::string_view record, char delimiter,
 
 namespace {
 
-/// "path:line: (byte N)" error prefix; N is the line's starting offset, so
-/// a reported failure deep inside a multi-GB file is directly seekable.
-std::string CsvErrorAt(const std::string& path, size_t line_number,
-                       size_t byte_offset) {
+/// "path:line: (byte N)" error prefix; N is the record's starting offset, so
+/// a reported failure deep inside a multi-GB file is directly seekable. The
+/// line number is only needed on failure, so it is counted here.
+std::string CsvErrorAt(const std::string& path, std::string_view file,
+                       uint64_t byte_offset) {
+  const size_t line = 1 + static_cast<size_t>(std::count(
+                              file.begin(), file.begin() + byte_offset, '\n'));
   std::ostringstream prefix;
-  prefix << path << ":" << line_number << ": (byte " << byte_offset << ")";
+  prefix << path << ":" << line << ": (byte " << byte_offset << ")";
   return prefix.str();
 }
 
 }  // namespace
 
 Result<Dataset> ReadCsv(const std::string& path, const CsvReadOptions& options) {
-  std::ifstream in(path);
-  if (!in) return IoError(path, "open");
+  CsvInput input;
+  Status status = input.Open(path, /*map=*/true);
+  if (!status.ok()) return status;
+  std::string buffer;  // the whole input when it cannot be mapped
+  if (!input.is_mapped()) {
+    char chunk[1 << 16];
+    for (;;) {
+      Result<size_t> n = input.Read(chunk, sizeof(chunk));
+      if (!n.ok()) return n.status();
+      if (*n == 0) break;
+      buffer.append(chunk, *n);
+    }
+  }
+  const std::string_view file = input.is_mapped() ? input.mapped() : buffer;
 
-  std::string line;
-  if (!std::getline(in, line)) {
+  std::optional<std::string_view> header_record;
+  std::vector<CsvRecordRef> records;
+  size_t dangling_offset = 0;
+  const bool terminated = ScanMapped(
+      file,
+      [&](std::string_view record, uint64_t offset) {
+        if (!header_record) {
+          header_record = record;
+        } else if (!StripWhitespace(record).empty()) {  // blank lines skip
+          records.push_back({record, offset});
+        }
+      },
+      &dangling_offset);
+  if (!header_record && terminated) {
     return Status::InvalidArgument("empty CSV file " + path);
   }
   std::vector<std::string> header;
-  if (!SplitCsvRecord(line, options.delimiter, &header)) {
-    return Status::InvalidArgument(CsvErrorAt(path, 1, 0) +
+  if (!header_record ||
+      !SplitCsvHeader(*header_record, options.delimiter, &header)) {
+    return Status::InvalidArgument(CsvErrorAt(path, file, 0) +
                                    " unterminated quoted field");
   }
-  for (std::string& name : header) name = std::string(StripWhitespace(name));
-
-  int label_index = -1;
-  for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == options.label_column) label_index = static_cast<int>(i);
+  CsvRowError row_error;
+  Result<Dataset> dataset =
+      ParseCsvRecords(path, header, records, options, &row_error);
+  if (!dataset.ok()) {
+    if (row_error.detail.empty()) return dataset.status();
+    return Status::InvalidArgument(CsvErrorAt(path, file, row_error.offset) +
+                                   " " + row_error.detail);
   }
-  if (label_index < 0) {
-    return Status::InvalidArgument("label column '" + options.label_column +
-                                   "' not found in " + path);
+  // A quote left open at EOF swallowed the rest of the file into one record,
+  // which comes after every record parsed above.
+  if (!terminated) {
+    return Status::InvalidArgument(CsvErrorAt(path, file, dangling_offset) +
+                                   " unterminated quoted field");
   }
-
-  // First pass: collect raw cells, remembering each kept row's source line
-  // and starting byte offset so later parse failures can name (and seek to)
-  // the offending row (blank lines are skipped, so row index and line number
-  // diverge).
-  std::vector<std::vector<std::string>> cells;  // per column
-  cells.resize(header.size());
-  std::vector<size_t> row_lines;
-  std::vector<size_t> row_offsets;
-  std::vector<std::string> fields;
-  size_t line_number = 1;
-  size_t next_offset = line.size() + 1;  // header line + its newline
-  while (std::getline(in, line)) {
-    ++line_number;
-    const size_t record_line = line_number;
-    const size_t line_offset = next_offset;
-    // getline consumed the delimiter unless it stopped at EOF.
-    next_offset += line.size() + (in.eof() ? 0 : 1);
-    // A '\n' inside a double-quoted field belongs to the record (same rule
-    // as the streaming CsvRecordScanner): keep appending source lines while
-    // the accumulated quote count is odd.
-    while (std::count(line.begin(), line.end(), '"') % 2 != 0) {
-      std::string continuation;
-      if (!std::getline(in, continuation)) break;
-      ++line_number;
-      next_offset += continuation.size() + (in.eof() ? 0 : 1);
-      line += '\n';
-      line += continuation;
-    }
-    const std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty()) continue;
-    if (!SplitCsvRecord(stripped, options.delimiter, &fields)) {
-      return Status::InvalidArgument(CsvErrorAt(path, record_line, line_offset) +
-                                     " unterminated quoted field");
-    }
-    if (fields.size() != header.size()) {
-      std::ostringstream msg;
-      msg << CsvErrorAt(path, record_line, line_offset) << " expected "
-          << header.size() << " fields, got " << fields.size();
-      return Status::InvalidArgument(msg.str());
-    }
-    for (size_t i = 0; i < fields.size(); ++i) {
-      cells[i].emplace_back(StripWhitespace(fields[i]));
-    }
-    row_lines.push_back(record_line);
-    row_offsets.push_back(line_offset);
-  }
-
-  // Infer column types and build the dataset.
-  Dataset dataset(path);
-  dataset.set_label_name(options.label_column);
-  std::vector<int> labels;
-  for (size_t c = 0; c < header.size(); ++c) {
-    if (static_cast<int>(c) == label_index) {
-      labels.reserve(cells[c].size());
-      for (size_t r = 0; r < cells[c].size(); ++r) {
-        const std::string& cell = cells[c][r];
-        if (!options.positive_label_value.empty()) {
-          labels.push_back(cell == options.positive_label_value ? 1 : 0);
-        } else {
-          double value = 0.0;
-          if (!ParseDouble(cell, &value) || (value != 0.0 && value != 1.0)) {
-            std::ostringstream msg;
-            msg << CsvErrorAt(path, row_lines[r], row_offsets[r])
-                << " label cell '" << cell << "' is not 0/1";
-            return Status::InvalidArgument(msg.str());
-          }
-          labels.push_back(static_cast<int>(value));
-        }
-      }
-      continue;
-    }
-    bool forced_categorical = false;
-    for (const std::string& name : options.force_categorical) {
-      if (name == header[c]) forced_categorical = true;
-    }
-    bool forced_numeric = false;
-    for (const std::string& name : options.force_numeric) {
-      if (name == header[c]) forced_numeric = true;
-    }
-    if (forced_categorical && forced_numeric) {
-      return Status::InvalidArgument("column '" + header[c] +
-                                     "' listed in both force_categorical and "
-                                     "force_numeric");
-    }
-    if (forced_numeric) {
-      Column col = Column::Numeric(header[c]);
-      for (size_t r = 0; r < cells[c].size(); ++r) {
-        double value = 0.0;
-        if (!ParseDouble(cells[c][r], &value) || !std::isfinite(value)) {
-          std::ostringstream msg;
-          msg << CsvErrorAt(path, row_lines[r], row_offsets[r]) << " cell '"
-              << cells[c][r] << "' in numeric column '" << header[c]
-              << "' is not a finite number";
-          return Status::InvalidArgument(msg.str());
-        }
-        col.AppendNumeric(value);
-      }
-      dataset.AddColumn(std::move(col));
-      continue;
-    }
-    bool numeric = !forced_categorical;
-    if (numeric) {
-      for (const std::string& cell : cells[c]) {
-        double value = 0.0;
-        // Non-finite parses ("nan", "inf") demote the column to categorical:
-        // they would otherwise poison every downstream loss (DESIGN.md §8).
-        if (!ParseDouble(cell, &value) || !std::isfinite(value)) {
-          numeric = false;
-          break;
-        }
-      }
-    }
-    if (numeric) {
-      Column col = Column::Numeric(header[c]);
-      for (const std::string& cell : cells[c]) {
-        double value = 0.0;
-        ParseDouble(cell, &value);
-        col.AppendNumeric(value);
-      }
-      dataset.AddColumn(std::move(col));
-    } else {
-      Column col = Column::Categorical(header[c], {});
-      for (const std::string& cell : cells[c]) col.AppendCategory(cell);
-      dataset.AddColumn(std::move(col));
-    }
-  }
-  dataset.SetLabels(std::move(labels));
-  Status status = dataset.Validate();
-  if (!status.ok()) return status;
   return dataset;
 }
 

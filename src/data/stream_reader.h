@@ -2,11 +2,10 @@
 #define OMNIFAIR_DATA_STREAM_READER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "data/csv.h"
 #include "data/encoder.h"
 #include "util/status.h"
 
@@ -15,54 +14,25 @@ namespace omnifair {
 // ---------------------------------------------------------------------------
 // Out-of-core CSV ingest (DESIGN.md §16).
 //
-// StreamCsvToChunked reads a CSV of any size in fixed-size byte chunks,
-// parses complete records block-by-block on the shared thread pool, encodes
-// each block straight into the float32 feature layout, and spills the encoded
-// blocks to an on-disk chunked dataset (data/chunked_dataset.h). Peak
-// resident memory is one block of raw text plus one encoded block —
-// independent of file size — so a 10M-row file never holds raw text and
-// encoded features in RAM at once.
+// StreamCsvToChunked maps the CSV (or, for a pipe, reads it in fixed-size
+// byte chunks), parses complete records block-by-block on the shared thread
+// pool, encodes each block straight into the float32 feature layout, and
+// spills the encoded blocks to an on-disk chunked dataset
+// (data/chunked_dataset.h). Mapped file pages count towards resident memory,
+// so the pages behind each flushed block are released (madvise
+// MADV_DONTNEED). Peak resident memory is then about one block of raw text
+// plus one encoded block, independent of file size, so a 10M-row file never
+// holds raw text and encoded features in RAM at once.
 //
 // Streaming-encode compromise: the feature encoder (standardization
-// statistics, one-hot dictionaries) is fitted on the FIRST block only.
-// Categories first seen in later blocks encode as all-zero one-hot rows —
+// statistics, one-hot dictionaries) is fitted on the FIRST block only, which
+// goes through ReadCsv's parser (group column forced categorical) before it
+// is packed like every other block. Categories first seen in later blocks
+// encode as all-zero one-hot rows —
 // the same treatment FeatureEncoder::Transform gives unseen validation
 // categories. Make the first block representative (the default 65536 rows
 // is far above what the statistics need).
 // ---------------------------------------------------------------------------
-
-/// Incremental CSV record-boundary scanner. Feed() accepts byte chunks in
-/// arrival order and emits complete records; a '\n' inside a double-quoted
-/// field does NOT terminate the record even when the quote opened in an
-/// earlier chunk, CRLF line endings are handled even when the '\r' and '\n'
-/// land in different chunks, and Finish() flushes a final record that lacks
-/// a trailing newline. Emitted records exclude the terminator and come with
-/// the absolute byte offset of their first character.
-class CsvRecordScanner {
- public:
-  using RecordFn = std::function<void(std::string_view record, uint64_t offset)>;
-
-  /// Scans `chunk` (the next bytes of the file). `on_record` runs once per
-  /// completed record; the string_view is only valid during the call.
-  void Feed(std::string_view chunk, const RecordFn& on_record);
-
-  /// Emits the trailing unterminated record, if any, and resets the scanner.
-  void Finish(const RecordFn& on_record);
-
-  /// True when the scanner is mid-quote (diagnostic: an unterminated quote
-  /// at EOF means the file is malformed).
-  bool in_quotes() const { return in_quotes_; }
-
-  /// Absolute byte offset of the pending (not yet emitted) record — the
-  /// record to blame when in_quotes() is still true at EOF.
-  uint64_t pending_offset() const { return record_offset_; }
-
- private:
-  std::string carry_;        // partial record spanning chunk boundaries
-  bool in_quotes_ = false;
-  uint64_t record_offset_ = 0;  // absolute offset of the pending record
-  uint64_t consumed_ = 0;       // absolute offset of the next incoming byte
-};
 
 /// Options for the streaming ingest.
 struct StreamIngestOptions {

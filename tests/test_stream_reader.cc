@@ -255,6 +255,50 @@ TEST(StreamIngestTest, MmapAndChunkedReadProduceIdenticalFiles) {
   EXPECT_EQ(ReadFile(mmap_out), ReadFile(read_out));
 }
 
+TEST(StreamIngestTest, MmapReleasingPagesMidFileMatchesChunkedRead) {
+  // A multi-MiB input in small blocks: the mapped scan drops the pages
+  // behind every flushed block many times mid-file, and must still agree
+  // byte-for-byte with the read(2) fallback.
+  const std::string csv = TempPath("ingest_release.csv");
+  std::string content = "age,grp,note,label\n";
+  for (int i = 0; content.size() < (3u << 20); ++i) {
+    content += std::to_string(18 + i % 60) + "," + (i % 3 == 0 ? "a" : "b") +
+               (i % 97 == 0 ? ",\"multi\nline\"," : ",plain text,") +
+               std::to_string(i % 2) + "\n";
+  }
+  WriteFile(csv, content);
+
+  const std::string mmap_out = TempPath("ingest_release_on.ofcd");
+  const std::string read_out = TempPath("ingest_release_off.ofcd");
+  StreamIngestOptions options = BasicIngestOptions();
+  options.block_rows = 500;
+  Result<IngestStats> mapped = StreamCsvToChunked(csv, mmap_out, options);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  EXPECT_GT(mapped->blocks, 100u);
+  options.use_mmap = false;
+  options.read_chunk_bytes = 4093;
+  ASSERT_TRUE(StreamCsvToChunked(csv, read_out, options).ok());
+  EXPECT_EQ(ReadFile(mmap_out), ReadFile(read_out));
+}
+
+TEST(StreamIngestTest, TsvTrailingEmptyFieldInFirstBlock) {
+  // "b\t1\t" has three fields, the last one empty. It is record 2, so it is
+  // parsed by block 0's type inference whatever the block size, and must be
+  // accepted there just as a later block accepts "a\t1\t".
+  const std::string csv = TempPath("ingest_trailing_empty.tsv");
+  WriteFile(csv, "grp\tlabel\tnote\nb\t1\t\na\t0\tx\na\t1\t\n");
+  StreamIngestOptions options = BasicIngestOptions();
+  options.delimiter = '\t';
+  for (const size_t block_rows : {size_t{1}, size_t{100}}) {
+    options.block_rows = block_rows;
+    Result<IngestStats> stats = StreamCsvToChunked(
+        csv, TempPath("ingest_trailing_empty.ofcd"), options);
+    ASSERT_TRUE(stats.ok()) << "block_rows=" << block_rows << ": "
+                            << stats.status();
+    EXPECT_EQ(stats->rows, 3u);
+  }
+}
+
 TEST(StreamIngestTest, ErrorsCarryRecordNumberAndByteOffset) {
   // "age" is inferred numeric from block 0 (rows 2-3); "oops" arrives in a
   // later block and must fail with the record number + absolute byte offset.
