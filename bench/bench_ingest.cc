@@ -69,17 +69,14 @@ void Run(BenchReporter& reporter) {
   const double csv_mb =
       static_cast<double>(std::filesystem::file_size(csv_path)) / (1024.0 * 1024.0);
 
-  // In-memory path: ReadCsv + in-memory float32 encode.
+  // In-memory path: ReadCsv + in-memory encode.
   Stopwatch baseline_watch;
   CsvReadOptions read_options;
   read_options.label_column = dataset.label_name();
   Result<Dataset> reread = ReadCsv(csv_path, read_options);
   OF_CHECK(reread.ok()) << reread.status();
   FeatureEncoder baseline_encoder;
-  EncoderOptions encoder_options;
-  encoder_options.float32_features = true;
-  const Matrix baseline_features =
-      baseline_encoder.FitTransform(*reread, encoder_options);
+  const Matrix baseline_features = baseline_encoder.FitTransform(*reread);
   const double baseline_seconds = baseline_watch.ElapsedSeconds();
 
   // Streaming path: chunked read, parallel block parse, direct-to-float32

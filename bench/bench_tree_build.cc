@@ -8,6 +8,7 @@
 //
 // Knobs: OMNIFAIR_BENCH_ROWS (default 30000 — the acceptance scale).
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ EncodedData Subset(const Matrix& X, const std::vector<int>& y, size_t n) {
   out.X = Matrix(n, X.cols());
   out.y.assign(y.begin(), y.begin() + n);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t f = 0; f < X.cols(); ++f) out.X(i, f) = X(i, f);
+    std::copy(X.RowF(i), X.RowF(i) + X.cols(), out.X.RowF(i));
   }
   return out;
 }

@@ -42,7 +42,7 @@ Result<BaselineResult> ThomasSeldonian::Train(const Dataset& train, const Datase
   auto make_objective = [&](double margin) {
     return [&, margin](const std::vector<double>& theta) {
       for (size_t i = 0; i < n; ++i) {
-        const double* row = X.Row(i);
+        const float* row = X.RowF(i);
         double z = theta[d];
         for (size_t c = 0; c < d; ++c) z += row[c] * theta[c];
         predictions[i] = z >= 0.0 ? 1 : 0;

@@ -21,7 +21,7 @@ double PenalizedLoss(const Matrix& X, const std::vector<int>& y,
   double loss = 0.0;
   double cov = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    const double* row = X.Row(i);
+    const float* row = X.RowF(i);
     double margin = theta[d];
     for (size_t c = 0; c < d; ++c) margin += row[c] * theta[c];
     cov += zc[i] * margin;
@@ -57,7 +57,7 @@ std::unique_ptr<Classifier> FitCovariancePenalized(const Matrix& X,
     std::fill(grad.begin(), grad.end(), 0.0);
     double cov = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      const double* row = X.Row(i);
+      const float* row = X.RowF(i);
       double margin = theta[d];
       for (size_t c = 0; c < d; ++c) margin += row[c] * theta[c];
       cov += zc[i] * margin;
@@ -71,7 +71,7 @@ std::unique_ptr<Classifier> FitCovariancePenalized(const Matrix& X,
     // 1/n factor is applied with the loss gradient below.
     const double cov_scale = 2.0 * mu * cov;
     for (size_t i = 0; i < n && mu > 0.0; ++i) {
-      const double* row = X.Row(i);
+      const float* row = X.RowF(i);
       for (size_t c = 0; c < d; ++c) grad[c] += cov_scale * zc[i] * row[c];
       grad[d] += cov_scale * zc[i];
     }

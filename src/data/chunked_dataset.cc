@@ -261,9 +261,6 @@ Status ChunkedDatasetWriter::AppendBlock(const DatasetBlock& block) {
   if (fd_ < 0) {
     return Status::InvalidArgument("AppendBlock on a closed chunked writer");
   }
-  if (!block.features.is_float32()) {
-    return Status::InvalidArgument("chunked blocks require float32 features");
-  }
   const size_t rows = block.features.rows();
   if (block.features.cols() != num_features_ || block.labels.size() != rows ||
       block.groups.size() != rows) {
@@ -615,7 +612,7 @@ Result<DatasetBlock> ChunkedDataset::MaterializeBlock(size_t index) const {
   // the zero-initialized row untouched), raw codes widen to float.
   const uint8_t* float_base = payload + 8 + n + 4 * n;
   const uint8_t* code_base = float_base + float_bytes;
-  block.features = Matrix::Float32(n, meta_.num_features);
+  block.features = Matrix(n, meta_.num_features);
   for (size_t r = 0; r < n; ++r) {
     float* dst = block.features.RowF(r);
     const uint8_t* float_src = float_base + r * floats_per_row * sizeof(float);

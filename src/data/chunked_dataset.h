@@ -93,7 +93,7 @@ struct ChunkedLayout {
 
 /// One materialized block: float32 features + labels + sensitive-group codes.
 struct DatasetBlock {
-  Matrix features;          ///< float32 storage, rows x num_features
+  Matrix features;          ///< rows x num_features
   std::vector<int> labels;  ///< binary 0/1, length rows
   std::vector<int> groups;  ///< codes into ChunkedDatasetMeta::group_names
 };
@@ -148,9 +148,9 @@ class ChunkedDatasetWriter {
   ChunkedDatasetWriter& operator=(const ChunkedDatasetWriter&) = delete;
   ~ChunkedDatasetWriter();
 
-  /// Appends one dense block (features must be float32 with num_features
-  /// columns, labels/groups the same length as features.rows()), packing it
-  /// per the layout first. One-hot segments must actually be one-hot (a
+  /// Appends one dense block (features must have num_features columns,
+  /// labels/groups the same length as features.rows()), packing it per the
+  /// layout first. One-hot segments must actually be one-hot (a
   /// single 1.0 or all zeros per row) and code segments must hold exact
   /// u16-range integers; anything else is kInvalidArgument. Counts the
   /// spilled bytes on the `ingest.spill_bytes` counter.

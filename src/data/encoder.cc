@@ -49,11 +49,7 @@ void FeatureEncoder::Fit(const Dataset& dataset, const EncoderOptions& options) 
 
 Matrix FeatureEncoder::Transform(const Dataset& dataset) const {
   const size_t n = dataset.NumRows();
-  // Values are narrowed at encode time when float32 storage is requested, so
-  // downstream trainers never pay a conversion pass.
-  Matrix out = options_.float32_features
-                   ? Matrix::Float32(n, feature_names_.size())
-                   : Matrix(n, feature_names_.size());
+  Matrix out(n, feature_names_.size());
   size_t offset = 0;
   for (const ColumnPlan& plan : plans_) {
     const Column& col = dataset.ColumnByName(plan.name);

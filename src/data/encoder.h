@@ -23,14 +23,12 @@ struct EncoderOptions {
   /// Columns excluded from the feature matrix (e.g. the sensitive attribute
   /// when training "fairness through unawareness"-style, or id columns).
   std::vector<std::string> drop_columns;
-  /// Store encoded features as float32 instead of double. Halves the feature
-  /// matrix footprint and memory bandwidth; model parameters, gradients and
-  /// accumulators stay double (see Matrix's storage contract). A runtime
-  /// storage choice — not part of the serialized encoder layout.
-  bool float32_features = false;
 };
 
 /// Encodes a Dataset's attribute columns into a numeric feature Matrix.
+/// Each encoded value is computed in double and narrowed to float32 once, as
+/// it is stored (Matrix has one, float32, storage), so a bundle's encoder
+/// serves exactly the features its model was trained on.
 ///
 /// Fit on the training split, then applied to validation/test splits so the
 /// standardization statistics and one-hot layout come from training data

@@ -104,7 +104,6 @@ class StreamIngestor {
   StreamIngestor(const std::string& csv_path, const std::string& out_path,
                  const StreamIngestOptions& options)
       : csv_path_(csv_path), out_path_(out_path), options_(options) {
-    options_.encoder.float32_features = true;  // chunked-format contract
     if (options_.block_rows == 0) options_.block_rows = 65536;
     if (options_.read_chunk_bytes == 0) options_.read_chunk_bytes = 1 << 20;
   }

@@ -58,8 +58,7 @@ struct StreamIngestOptions {
   /// Parse parallelism within a block; 0 = the global pool's width. Output
   /// is bit-identical at any setting (rows land in preassigned slots).
   int num_threads = 0;
-  /// Encoder settings. float32_features is forced on: the chunked format
-  /// stores float32 features by contract.
+  /// Encoder settings.
   EncoderOptions encoder;
 };
 

@@ -33,8 +33,6 @@ Result<StreamGenerateStats> GenerateSyntheticStream(
   Rng seed_stream(options.seed);
 
   FeatureEncoder encoder;
-  EncoderOptions encoder_options = options.encoder;
-  encoder_options.float32_features = true;  // chunked-format contract
   std::string encoder_text;
   std::unique_ptr<ChunkedDatasetWriter> writer;
 
@@ -46,14 +44,14 @@ Result<StreamGenerateStats> GenerateSyntheticStream(
     block_options.seed = seed_stream.NextUint64();
     Dataset block = Generate(schema, block_options);
     if (!writer) {
-      encoder.Fit(block, encoder_options);
+      encoder.Fit(block, options.encoder);
       std::ostringstream os;
       encoder.SerializeTo(os);
       encoder_text = os.str();
       // Packed layout: categorical columns spill as u16 codes, so a 10M-row
       // file stays ~4x smaller than the dense float32 equivalent.
       Result<ChunkedLayout> layout = ChunkedLayout::FromPlans(
-          encoder.plans(), encoder_options.one_hot_categorical);
+          encoder.plans(), options.encoder.one_hot_categorical);
       if (!layout.ok()) return layout.status();
       Result<ChunkedDatasetWriter> created =
           ChunkedDatasetWriter::Create(out_path, std::move(*layout));

@@ -19,7 +19,7 @@ struct StreamGenerateOptions {
   /// Rows per encoded block. Determinism contract: output depends on
   /// (seed, block_rows) — the same pair always produces the same file.
   size_t block_rows = 65536;
-  /// Encoder settings; float32_features is forced on (chunked-format contract).
+  /// Encoder settings.
   EncoderOptions encoder;
 };
 

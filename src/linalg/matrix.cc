@@ -15,40 +15,19 @@ size_t Matrix::CheckedSize(size_t rows, size_t cols) {
   return total;
 }
 
-void Matrix::DieWrongStorage(const char* op) const {
-  OF_CHECK(false) << "Matrix::" << op << " requires "
-                  << (storage_ == Storage::kFloat32 ? "double" : "float32")
-                  << " storage; this matrix is "
-                  << (storage_ == Storage::kFloat32 ? "float32" : "double")
-                  << " (see ToFloat64/ToFloat32)";
-  __builtin_unreachable();
-}
-
-Matrix Matrix::Float32(size_t rows, size_t cols) {
-  Matrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.storage_ = Storage::kFloat32;
-  m.fdata_.assign(CheckedSize(rows, cols), 0.0f);
-  return m;
-}
-
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows)
     : rows_(rows.size()), cols_(0) {
   for (const auto& row : rows) {
     if (cols_ == 0) cols_ = row.size();
     OF_CHECK_EQ(row.size(), cols_) << "ragged initializer rows";
-    data_.insert(data_.end(), row.begin(), row.end());
+    for (double v : row) data_.push_back(static_cast<float>(v));
   }
 }
 
 std::vector<double> Matrix::RowVector(size_t r) const {
   OF_CHECK_LT(r, rows_);
-  if (storage_ == Storage::kFloat32) {
-    const float* row = RowF(r);
-    return std::vector<double>(row, row + cols_);
-  }
-  return std::vector<double>(Row(r), Row(r) + cols_);
+  const float* row = RowF(r);
+  return std::vector<double>(row, row + cols_);
 }
 
 std::vector<double> Matrix::ColVector(size_t c) const {
@@ -59,20 +38,11 @@ std::vector<double> Matrix::ColVector(size_t c) const {
 }
 
 Matrix Matrix::SelectRows(const std::vector<size_t>& indices) const {
-  if (storage_ == Storage::kFloat32) {
-    Matrix out = Float32(indices.size(), cols_);
-    for (size_t i = 0; i < indices.size(); ++i) {
-      OF_CHECK_LT(indices[i], rows_);
-      const float* src = RowF(indices[i]);
-      std::copy(src, src + cols_, out.RowF(i));
-    }
-    return out;
-  }
   Matrix out(indices.size(), cols_);
   for (size_t i = 0; i < indices.size(); ++i) {
     OF_CHECK_LT(indices[i], rows_);
-    const double* src = Row(indices[i]);
-    std::copy(src, src + cols_, out.Row(i));
+    const float* src = RowF(indices[i]);
+    std::copy(src, src + cols_, out.RowF(i));
   }
   return out;
 }
@@ -82,12 +52,8 @@ void Matrix::AppendRow(const std::vector<double>& row) {
   OF_CHECK_EQ(row.size(), cols_) << "row width mismatch";
   // Growing by one row must also stay inside size_t.
   CheckedSize(rows_ + 1, cols_);
-  if (storage_ == Storage::kFloat32) {
-    fdata_.reserve(fdata_.size() + cols_);
-    for (double v : row) fdata_.push_back(static_cast<float>(v));
-  } else {
-    data_.insert(data_.end(), row.begin(), row.end());
-  }
+  data_.reserve(data_.size() + cols_);
+  for (double v : row) data_.push_back(static_cast<float>(v));
   ++rows_;
 }
 
@@ -112,20 +78,7 @@ void Matrix::MatVecInto(const std::vector<double>& x,
 
 void Matrix::MatVecInto(const double* x, double* y) const {
   const simd::Kernels& k = simd::Active();
-  if (storage_ == Storage::kFloat32) {
-    const float* m = fdata_.data();
-    for (size_t r = 0; r < rows_; ++r) y[r] = k.dot_f32(m + r * cols_, x, cols_);
-    return;
-  }
-  const double* m = data_.data();
-  for (size_t r = 0; r < rows_; ++r) y[r] = k.dot(m + r * cols_, x, cols_);
-}
-
-void Matrix::MatVecInto(const float* x, double* y) const {
-  if (storage_ != Storage::kFloat64) DieWrongStorage("MatVecInto(float)");
-  const simd::Kernels& k = simd::Active();
-  const double* m = data_.data();
-  for (size_t r = 0; r < rows_; ++r) y[r] = k.dot_f32(x, m + r * cols_, cols_);
+  for (size_t r = 0; r < rows_; ++r) y[r] = k.dot_f32(RowF(r), x, cols_);
 }
 
 void Matrix::TransposeMatVecInto(const std::vector<double>& x,
@@ -138,43 +91,7 @@ void Matrix::TransposeMatVecInto(const std::vector<double>& x,
 void Matrix::TransposeMatVecInto(const double* x, double* y) const {
   std::fill(y, y + cols_, 0.0);
   const simd::Kernels& k = simd::Active();
-  if (storage_ == Storage::kFloat32) {
-    const float* m = fdata_.data();
-    for (size_t r = 0; r < rows_; ++r) k.axpy_f32(x[r], m + r * cols_, y, cols_);
-    return;
-  }
-  const double* m = data_.data();
-  for (size_t r = 0; r < rows_; ++r) k.axpy(x[r], m + r * cols_, y, cols_);
-}
-
-Matrix Matrix::ToFloat32() const {
-  if (storage_ == Storage::kFloat32) return *this;
-  Matrix out = Float32(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    out.fdata_[i] = static_cast<float>(data_[i]);
-  }
-  return out;
-}
-
-Matrix Matrix::ToFloat64() const {
-  if (storage_ == Storage::kFloat64) return *this;
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < fdata_.size(); ++i) {
-    out.data_[i] = static_cast<double>(fdata_[i]);
-  }
-  return out;
-}
-
-const void* Matrix::RawData() const {
-  if (storage_ == Storage::kFloat32) {
-    return static_cast<const void*>(fdata_.data());
-  }
-  return static_cast<const void*>(data_.data());
-}
-
-size_t Matrix::RawBytes() const {
-  if (storage_ == Storage::kFloat32) return fdata_.size() * sizeof(float);
-  return data_.size() * sizeof(double);
+  for (size_t r = 0; r < rows_; ++r) k.axpy_f32(x[r], RowF(r), y, cols_);
 }
 
 }  // namespace omnifair

@@ -7,29 +7,23 @@
 
 namespace omnifair {
 
-/// Dense row-major matrix. This is the feature-matrix currency of the
-/// library: datasets encode to a Matrix, ML trainers consume a Matrix.
-/// Deliberately minimal — the ML algorithms in this repo only need row
-/// access, matrix-vector products and element arithmetic.
+/// Dense row-major matrix of float32 elements. This is the feature-matrix
+/// currency of the library: datasets encode to a Matrix, ML trainers consume
+/// a Matrix. Deliberately minimal — the ML algorithms in this repo only need
+/// row access, matrix-vector products and element arithmetic.
 ///
-/// Storage is double by default; a float32 mode (EncoderOptions::
-/// float32_features) halves the feature-matrix footprint and memory
-/// bandwidth. Model parameters, gradients and accumulators stay double
-/// everywhere — float32 only narrows the stored feature values, so each
-/// element loses at most one float rounding at encode time. Typed row access
-/// is mode-checked: Row()/data() require double storage, RowF() requires
-/// float32; operator()(r, c) const, Set(), and the product kernels work in
-/// either mode.
+/// Only the stored feature values are float32: writes narrow each value once,
+/// reads widen it exactly, and model parameters, gradients and accumulators
+/// stay double everywhere (the product kernels widen per lane). Float storage
+/// halves the footprint and memory bandwidth of the encoded features, which
+/// every λ refit of the tuners streams through.
 class Matrix {
  public:
-  enum class Storage { kFloat64 = 0, kFloat32 = 1 };
-
   Matrix() : rows_(0), cols_(0) {}
   Matrix(size_t rows, size_t cols, double fill = 0.0)
-      : rows_(rows), cols_(cols), data_(CheckedSize(rows, cols), fill) {}
-
-  /// A zero-filled float32-storage matrix of the given shape.
-  static Matrix Float32(size_t rows, size_t cols);
+      : rows_(rows),
+        cols_(cols),
+        data_(CheckedSize(rows, cols), static_cast<float>(fill)) {}
 
   /// Builds from nested initializer lists; all rows must agree in length.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
@@ -37,59 +31,29 @@ class Matrix {
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
-  Storage storage() const { return storage_; }
-  bool is_float32() const { return storage_ == Storage::kFloat32; }
 
-  double& operator()(size_t r, size_t c) {
-    if (storage_ != Storage::kFloat64) DieWrongStorage("operator()");
-    return data_[r * cols_ + c];
-  }
-  double operator()(size_t r, size_t c) const {
-    const size_t i = r * cols_ + c;
-    return storage_ == Storage::kFloat32 ? static_cast<double>(fdata_[i])
-                                         : data_[i];
-  }
-  /// Storage-agnostic element write (narrows to float in float32 mode).
+  /// Element read, widened to double.
+  double operator()(size_t r, size_t c) const { return data_[r * cols_ + c]; }
+  /// Element write (narrows to float).
   void Set(size_t r, size_t c, double value) {
-    const size_t i = r * cols_ + c;
-    if (storage_ == Storage::kFloat32) {
-      fdata_[i] = static_cast<float>(value);
-    } else {
-      data_[i] = value;
-    }
+    data_[r * cols_ + c] = static_cast<float>(value);
   }
 
-  /// Pointer to the start of row r (contiguous, cols() elements). Row()
-  /// requires double storage, RowF() float32 storage.
-  double* Row(size_t r) {
-    if (storage_ != Storage::kFloat64) DieWrongStorage("Row");
-    return data_.data() + r * cols_;
-  }
-  const double* Row(size_t r) const {
-    if (storage_ != Storage::kFloat64) DieWrongStorage("Row");
-    return data_.data() + r * cols_;
-  }
-  float* RowF(size_t r) {
-    if (storage_ != Storage::kFloat32) DieWrongStorage("RowF");
-    return fdata_.data() + r * cols_;
-  }
-  const float* RowF(size_t r) const {
-    if (storage_ != Storage::kFloat32) DieWrongStorage("RowF");
-    return fdata_.data() + r * cols_;
-  }
+  /// Pointer to the start of row r (contiguous, cols() elements).
+  float* RowF(size_t r) { return data_.data() + r * cols_; }
+  const float* RowF(size_t r) const { return data_.data() + r * cols_; }
 
-  /// Copies row r into a double vector (either storage mode).
+  /// Copies row r into a double vector.
   std::vector<double> RowVector(size_t r) const;
 
-  /// Copies column c into a double vector (either storage mode).
+  /// Copies column c into a double vector.
   std::vector<double> ColVector(size_t c) const;
 
-  /// New matrix holding the given subset of rows, in order. Preserves the
-  /// storage mode of the source.
+  /// New matrix holding the given subset of rows, in order.
   Matrix SelectRows(const std::vector<size_t>& indices) const;
 
-  /// Appends a row; the first appended row fixes cols() for empty matrices.
-  /// In float32 mode the values are narrowed on append.
+  /// Appends a row (values narrowed); the first appended row fixes cols()
+  /// for empty matrices.
   void AppendRow(const std::vector<double>& row);
 
   /// y = this * x ; x.size() must equal cols().
@@ -103,46 +67,24 @@ class Matrix {
   /// rows() (MatVecInto) or cols() (TransposeMatVecInto) doubles.
   void MatVecInto(const std::vector<double>& x, std::vector<double>* y) const;
   void MatVecInto(const double* x, double* y) const;
-  /// Mixed-precision form: float32 input vector against this (double) matrix,
-  /// used by MLP when the feature rows are float32.
-  void MatVecInto(const float* x, double* y) const;
   void TransposeMatVecInto(const std::vector<double>& x,
                            std::vector<double>* y) const;
   void TransposeMatVecInto(const double* x, double* y) const;
 
-  /// Storage conversions (copying). ToFloat32 narrows each element once;
-  /// ToFloat64 widens exactly.
-  Matrix ToFloat32() const;
-  Matrix ToFloat64() const;
-
-  /// Raw double payload; requires double storage (use RawData for a
-  /// storage-agnostic view).
-  const std::vector<double>& data() const {
-    if (storage_ != Storage::kFloat64) DieWrongStorage("data");
-    return data_;
-  }
-  std::vector<double>& data() {
-    if (storage_ != Storage::kFloat64) DieWrongStorage("data");
-    return data_;
-  }
-
   /// Untyped view of the element payload (for fingerprinting / identity
-  /// checks); valid in either storage mode.
-  const void* RawData() const;
-  size_t RawBytes() const;
+  /// checks).
+  const void* RawData() const { return data_.data(); }
+  size_t RawBytes() const { return data_.size() * sizeof(float); }
 
  private:
   /// rows * cols with an overflow check — a shape whose element count does
   /// not fit size_t fails loudly instead of wrapping (same treatment as the
   /// grid-size overflow guard in core/grid_search.cc).
   static size_t CheckedSize(size_t rows, size_t cols);
-  [[noreturn]] void DieWrongStorage(const char* op) const;
 
   size_t rows_;
   size_t cols_;
-  Storage storage_ = Storage::kFloat64;
-  std::vector<double> data_;
-  std::vector<float> fdata_;
+  std::vector<float> data_;
 };
 
 }  // namespace omnifair

@@ -20,17 +20,14 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Cheap content fingerprint: shape and storage mode plus up to 64 words
-/// sampled from the raw element payload at a fixed stride. Combined with the
-/// storage-pointer check in Matches this makes accidental reuse against a
-/// different matrix vanishingly unlikely while keeping validation O(1) in the
-/// matrix size. Reading the untyped payload keeps this valid for both double
-/// and float32 feature storage.
+/// Cheap content fingerprint: shape plus up to 64 words sampled from the raw
+/// element payload at a fixed stride. Combined with the storage-pointer check
+/// in Matches this makes accidental reuse against a different matrix
+/// vanishingly unlikely while keeping validation O(1) in the matrix size.
 uint64_t FingerprintMatrix(const Matrix& X) {
   const unsigned char* bytes = static_cast<const unsigned char*>(X.RawData());
   const size_t nbytes = X.RawBytes();
-  uint64_t h = Mix64(X.rows() * 0x100000001b3ULL ^ X.cols() ^
-                     (static_cast<uint64_t>(X.storage()) << 32));
+  uint64_t h = Mix64(X.rows() * 0x100000001b3ULL ^ X.cols());
   if (nbytes < sizeof(uint64_t)) return h;
   const size_t words = nbytes / sizeof(uint64_t);
   const size_t samples = std::min<size_t>(64, words);

@@ -196,16 +196,13 @@ Status AppendModelSections(const Classifier& model,
     return Status::Ok();
   }
   if (const auto* mlp = dynamic_cast<const MlpModel*>(&model)) {
-    if (mlp->W1().is_float32()) {
-      return Status::Unsupported("cannot pack an mlp with float32 weights");
-    }
     BinaryWriter meta;
-    meta.U64(mlp->W1().rows());
-    meta.U64(mlp->W1().cols());
+    meta.U64(mlp->hidden_units());
+    meta.U64(mlp->inputs());
     meta.F64(mlp->b2());
     AddBytes(sections, "mlp.meta", BundleDtype::kBytes, meta.buffer().data(),
              meta.size());
-    AddF64(sections, "mlp.w1", mlp->W1().data());
+    AddF64(sections, "mlp.w1", mlp->W1());
     AddF64(sections, "mlp.b1", mlp->b1());
     AddF64(sections, "mlp.w2", mlp->w2());
     return Status::Ok();
@@ -778,9 +775,8 @@ namespace {
 /// Root-to-leaf walk over one tree's slice of the node tables. The right
 /// child is left_child + 1 by BFS construction; the comparison matches the
 /// pointer layouts (`row[feature] <= threshold`, float rows widened once).
-template <typename T>
 double FlatLeafValue(const int32_t* feature, const double* threshold,
-                     const int32_t* left, const double* value, const T* row) {
+                     const int32_t* left, const double* value, const float* row) {
   int32_t i = 0;
   while (feature[i] >= 0) {
     i = static_cast<double>(row[feature[i]]) <= threshold[i] ? left[i]
@@ -797,8 +793,7 @@ class FlatTreeBase : public Classifier {
       : bundle_(std::move(bundle)), trees_(bundle_->trees_) {}
 
  protected:
-  template <typename T>
-  double TreeLeaf(uint64_t tree, const T* row) const {
+  double TreeLeaf(uint64_t tree, const float* row) const {
     const uint64_t base = trees_.tree_offsets[tree];
     return FlatLeafValue(trees_.feature + base, trees_.threshold + base,
                          trees_.left_child + base, trees_.leaf_value + base,
@@ -815,23 +810,13 @@ class FlatTreeModel final : public FlatTreeBase {
 
   std::vector<double> PredictProba(const Matrix& X) const override {
     std::vector<double> proba(X.rows());
-    if (X.is_float32()) {
-      for (size_t i = 0; i < X.rows(); ++i) proba[i] = TreeLeaf(0, X.RowF(i));
-    } else {
-      for (size_t i = 0; i < X.rows(); ++i) proba[i] = TreeLeaf(0, X.Row(i));
-    }
+    for (size_t i = 0; i < X.rows(); ++i) proba[i] = TreeLeaf(0, X.RowF(i));
     return proba;
   }
 
   void AccumulateProba(const Matrix& X, size_t row_begin, size_t row_end,
                        std::vector<double>& proba) const override {
-    if (X.is_float32()) {
-      for (size_t i = row_begin; i < row_end; ++i)
-        proba[i] += TreeLeaf(0, X.RowF(i));
-    } else {
-      for (size_t i = row_begin; i < row_end; ++i)
-        proba[i] += TreeLeaf(0, X.Row(i));
-    }
+    for (size_t i = row_begin; i < row_end; ++i) proba[i] += TreeLeaf(0, X.RowF(i));
   }
 
   std::string Name() const override { return "decision_tree"; }
@@ -845,18 +830,13 @@ class FlatForestModel final : public FlatTreeBase {
 
   std::vector<double> PredictProba(const Matrix& X) const override {
     const size_t n = X.rows();
-    const bool f32 = X.is_float32();
     std::vector<double> proba(n, 0.0);
     // Tree-index-order accumulation per row, chunk-parallel over disjoint
     // rows — the same schedule as RandomForestModel::PredictProba, so the
     // result is bit-identical for any thread count.
     auto accumulate_rows = [&](size_t begin, size_t end) {
       for (uint64_t t = 0; t < trees_.num_trees; ++t) {
-        if (f32) {
-          for (size_t i = begin; i < end; ++i) proba[i] += TreeLeaf(t, X.RowF(i));
-        } else {
-          for (size_t i = begin; i < end; ++i) proba[i] += TreeLeaf(t, X.Row(i));
-        }
+        for (size_t i = begin; i < end; ++i) proba[i] += TreeLeaf(t, X.RowF(i));
       }
     };
     if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
@@ -897,16 +877,11 @@ class FlatGbdtModel final : public FlatTreeBase {
   void AccumulateProba(const Matrix& X, size_t row_begin, size_t row_end,
                        std::vector<double>& proba) const override {
     // Blocked sigmoid into a stack scratch, mirroring GbdtModel.
-    const bool f32 = X.is_float32();
     double scratch[kPredictChunkRows];
     for (size_t start = row_begin; start < row_end;
          start += kPredictChunkRows) {
       const size_t len = std::min(row_end - start, kPredictChunkRows);
-      if (f32) {
-        for (size_t j = 0; j < len; ++j) scratch[j] = RawRow(X.RowF(start + j));
-      } else {
-        for (size_t j = 0; j < len; ++j) scratch[j] = RawRow(X.Row(start + j));
-      }
+      for (size_t j = 0; j < len; ++j) scratch[j] = RawRow(X.RowF(start + j));
       SigmoidInPlace(scratch, len);
       for (size_t j = 0; j < len; ++j) proba[start + j] += scratch[j];
     }
@@ -915,8 +890,7 @@ class FlatGbdtModel final : public FlatTreeBase {
   std::string Name() const override { return "gbdt"; }
 
  private:
-  template <typename T>
-  double RawRow(const T* row) const {
+  double RawRow(const float* row) const {
     double raw = trees_.base_score;
     for (uint64_t t = 0; t < trees_.num_trees; ++t) {
       raw += trees_.learning_rate * TreeLeaf(t, row);
@@ -926,14 +900,9 @@ class FlatGbdtModel final : public FlatTreeBase {
 
   std::vector<double> PredictRaw(const Matrix& X) const {
     const size_t n = X.rows();
-    const bool f32 = X.is_float32();
     std::vector<double> raw(n);
     auto score_rows = [&](size_t begin, size_t end) {
-      if (f32) {
-        for (size_t i = begin; i < end; ++i) raw[i] = RawRow(X.RowF(i));
-      } else {
-        for (size_t i = begin; i < end; ++i) raw[i] = RawRow(X.Row(i));
-      }
+      for (size_t i = begin; i < end; ++i) raw[i] = RawRow(X.RowF(i));
     };
     if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
       score_rows(0, n);
@@ -984,29 +953,18 @@ class FlatMlpModel final : public Classifier {
     const size_t h = static_cast<size_t>(mlp_.hidden);
     OF_CHECK_EQ(X.cols(), d);
     const size_t n = X.rows();
-    const bool f32 = X.is_float32();
     std::vector<double> proba(n);
     std::vector<double> hidden(h);
     const simd::Kernels& kernels = simd::Active();
-    // Row-blocked predict with the same per-row dot kernels Matrix::
-    // MatVecInto dispatches to (note dot_f32 takes the float operand first).
+    // Row-blocked predict with the same per-row dot kernels as
+    // MlpModel::PredictProba.
     constexpr size_t kBlockRows = 256;
     for (size_t start = 0; start < n; start += kBlockRows) {
       const size_t end = std::min(n, start + kBlockRows);
       for (size_t i = start; i < end; ++i) {
-        if (f32) {
-          const float* row = X.RowF(i);
-          for (size_t j = 0; j < h; ++j) {
-            hidden[j] = kernels.dot_f32(row, mlp_.w1 + j * d, d);
-          }
-        } else {
-          const double* row = X.Row(i);
-          for (size_t j = 0; j < h; ++j) {
-            hidden[j] = kernels.dot(mlp_.w1 + j * d, row, d);
-          }
-        }
+        const float* row = X.RowF(i);
         for (size_t j = 0; j < h; ++j) {
-          const double z = hidden[j] + mlp_.b1[j];
+          const double z = kernels.dot_f32(row, mlp_.w1 + j * d, d) + mlp_.b1[j];
           hidden[j] = z > 0.0 ? z : 0.0;  // ReLU
         }
         proba[i] = mlp_.b2 + kernels.dot(mlp_.w2, hidden.data(), h);

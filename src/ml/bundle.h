@@ -146,9 +146,9 @@ class ModelBundle : public std::enable_shared_from_this<ModelBundle> {
   uint64_t file_size() const { return size_; }
 
   /// A Classifier over the in-place arrays. Predictions are bit-identical
-  /// to the original model's PredictProba for every family, every Matrix
-  /// storage mode and every thread count. `num_threads` mirrors the
-  /// RF/GBDT chunk-parallel predict knob (1 = fully sequential).
+  /// to the original model's PredictProba for every family and every thread
+  /// count. `num_threads` mirrors the RF/GBDT chunk-parallel predict knob
+  /// (1 = fully sequential).
   std::unique_ptr<Classifier> MakeModel(int num_threads = 1) const;
 
  private:

@@ -188,51 +188,27 @@ DecisionTreeModel::DecisionTreeModel(std::vector<Node> nodes)
   OF_CHECK(!nodes_.empty());
 }
 
-namespace {
-
-/// Shared traversal over either feature-element width; comparisons widen the
-/// stored element to double, so float32 rows route exactly like double rows
-/// whose values were narrowed at encode time.
-template <typename T>
-int TraverseToLeaf(const std::vector<DecisionTreeModel::Node>& nodes,
-                   const T* row) {
+double DecisionTreeModel::PredictRow(const float* row) const {
+  // Comparisons widen the stored element to double.
   int index = 0;
-  while (!nodes[index].is_leaf) {
-    const DecisionTreeModel::Node& node = nodes[index];
+  while (!nodes_[index].is_leaf) {
+    const Node& node = nodes_[index];
     index = static_cast<double>(row[node.feature]) <= node.threshold ? node.left
                                                                      : node.right;
   }
-  return index;
-}
-
-}  // namespace
-
-double DecisionTreeModel::PredictRow(const double* row) const {
-  return nodes_[TraverseToLeaf(nodes_, row)].probability;
-}
-
-double DecisionTreeModel::PredictRow(const float* row) const {
-  return nodes_[TraverseToLeaf(nodes_, row)].probability;
+  return nodes_[index].probability;
 }
 
 std::vector<double> DecisionTreeModel::PredictProba(const Matrix& X) const {
   std::vector<double> proba(X.rows());
-  if (X.is_float32()) {
-    for (size_t i = 0; i < X.rows(); ++i) proba[i] = PredictRow(X.RowF(i));
-  } else {
-    for (size_t i = 0; i < X.rows(); ++i) proba[i] = PredictRow(X.Row(i));
-  }
+  for (size_t i = 0; i < X.rows(); ++i) proba[i] = PredictRow(X.RowF(i));
   return proba;
 }
 
 void DecisionTreeModel::AccumulateProba(const Matrix& X, size_t row_begin,
                                         size_t row_end,
                                         std::vector<double>& proba) const {
-  if (X.is_float32()) {
-    for (size_t i = row_begin; i < row_end; ++i) proba[i] += PredictRow(X.RowF(i));
-  } else {
-    for (size_t i = row_begin; i < row_end; ++i) proba[i] += PredictRow(X.Row(i));
-  }
+  for (size_t i = row_begin; i < row_end; ++i) proba[i] += PredictRow(X.RowF(i));
 }
 
 int DecisionTreeModel::Depth() const {

@@ -56,8 +56,7 @@ class DecisionTreeModel : public Classifier {
   int Depth() const;
 
  private:
-  double PredictRow(const double* row) const;
-  /// Float32 feature rows: thresholds stay double, each element widens once.
+  /// Thresholds stay double; each feature element widens once.
   double PredictRow(const float* row) const;
 
   std::vector<Node> nodes_;

@@ -147,11 +147,8 @@ class GbdtTreeBuilder {
   std::vector<GbdtTreeNode> nodes_;
 };
 
-/// Tree walk over either feature-element width: comparisons widen the stored
-/// element to double, so float32 rows route exactly like double rows whose
-/// values were narrowed at encode time.
-template <typename T>
-double PredictTree(const std::vector<GbdtTreeNode>& nodes, const T* row) {
+/// Tree walk; comparisons widen the stored feature element to double.
+double PredictTree(const std::vector<GbdtTreeNode>& nodes, const float* row) {
   int index = 0;
   while (!nodes[index].is_leaf) {
     index = static_cast<double>(row[nodes[index].feature]) <=
@@ -160,14 +157,6 @@ double PredictTree(const std::vector<GbdtTreeNode>& nodes, const T* row) {
                 : nodes[index].right;
   }
   return nodes[index].value;
-}
-
-template <typename T>
-double PredictRawRowImpl(const std::vector<std::vector<GbdtTreeNode>>& trees,
-                         double base_score, double learning_rate, const T* row) {
-  double raw = base_score;
-  for (const auto& tree : trees) raw += learning_rate * PredictTree(tree, row);
-  return raw;
 }
 
 }  // namespace
@@ -179,22 +168,17 @@ GbdtModel::GbdtModel(std::vector<std::vector<GbdtTreeNode>> trees, double base_s
       learning_rate_(learning_rate),
       num_threads_(std::max(1, num_threads)) {}
 
-double GbdtModel::PredictRawRow(const double* row) const {
-  return PredictRawRowImpl(trees_, base_score_, learning_rate_, row);
+double GbdtModel::PredictRawRow(const float* row) const {
+  double raw = base_score_;
+  for (const auto& tree : trees_) raw += learning_rate_ * PredictTree(tree, row);
+  return raw;
 }
 
 std::vector<double> GbdtModel::PredictRaw(const Matrix& X) const {
   const size_t n = X.rows();
-  const bool f32 = X.is_float32();
   std::vector<double> raw(n);
   auto score_rows = [&](size_t begin, size_t end) {
-    if (f32) {
-      for (size_t i = begin; i < end; ++i) {
-        raw[i] = PredictRawRowImpl(trees_, base_score_, learning_rate_, X.RowF(i));
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) raw[i] = PredictRawRow(X.Row(i));
-    }
+    for (size_t i = begin; i < end; ++i) raw[i] = PredictRawRow(X.RowF(i));
   };
   if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
     score_rows(0, n);
@@ -229,18 +213,10 @@ void GbdtModel::AccumulateProba(const Matrix& X, size_t row_begin, size_t row_en
   // chunked callers run one block per task), sigmoid the block in one batched
   // pass, then add. Keeps the sigmoid vectorized without touching `proba`'s
   // running sums.
-  const bool f32 = X.is_float32();
   double scratch[kPredictChunkRows];
   for (size_t start = row_begin; start < row_end; start += kPredictChunkRows) {
     const size_t len = std::min(row_end - start, kPredictChunkRows);
-    if (f32) {
-      for (size_t j = 0; j < len; ++j) {
-        scratch[j] = PredictRawRowImpl(trees_, base_score_, learning_rate_,
-                                       X.RowF(start + j));
-      }
-    } else {
-      for (size_t j = 0; j < len; ++j) scratch[j] = PredictRawRow(X.Row(start + j));
-    }
+    for (size_t j = 0; j < len; ++j) scratch[j] = PredictRawRow(X.RowF(start + j));
     SigmoidInPlace(scratch, len);
     for (size_t j = 0; j < len; ++j) proba[start + j] += scratch[j];
   }
@@ -306,16 +282,9 @@ std::unique_ptr<Classifier> GbdtTrainer::Fit(const Matrix& X,
     }
     bool diverged = FaultInjector::ShouldFail(fault_sites::kGbdtRound);
     candidate_raw = raw;
-    if (X.is_float32()) {
-      for (size_t i = 0; i < n; ++i) {
-        candidate_raw[i] += options_.learning_rate * PredictTree(tree, X.RowF(i));
-        diverged = diverged || !std::isfinite(candidate_raw[i]);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        candidate_raw[i] += options_.learning_rate * PredictTree(tree, X.Row(i));
-        diverged = diverged || !std::isfinite(candidate_raw[i]);
-      }
+    for (size_t i = 0; i < n; ++i) {
+      candidate_raw[i] += options_.learning_rate * PredictTree(tree, X.RowF(i));
+      diverged = diverged || !std::isfinite(candidate_raw[i]);
     }
     if (diverged) {
       if (retries >= options_.max_divergence_retries) {

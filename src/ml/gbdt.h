@@ -68,7 +68,7 @@ class GbdtModel : public Classifier {
   std::vector<double> PredictRaw(const Matrix& X) const;
 
  private:
-  double PredictRawRow(const double* row) const;
+  double PredictRawRow(const float* row) const;
 
   std::vector<std::vector<GbdtTreeNode>> trees_;
   double base_score_;

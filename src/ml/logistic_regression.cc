@@ -17,7 +17,7 @@ namespace {
 
 /// Weighted negative log-likelihood + L2, with theta = [w..., b]. `margins`
 /// is caller-owned scratch of size n — the full-batch z = X w computed in one
-/// MatVecInto (simd kernels, float32-aware, no per-call allocation).
+/// MatVecInto (simd kernels, no per-call allocation).
 double Loss(const Matrix& X, const std::vector<int>& y,
             const std::vector<double>& weights, const std::vector<double>& theta,
             double l2, std::vector<double>* margins) {
@@ -77,26 +77,19 @@ double BatchLossGradient(const Matrix& X, const std::vector<int>& y,
                          const std::vector<double>& theta, size_t begin,
                          size_t end, std::vector<double>* grad) {
   const size_t d = X.cols();
-  const bool f32 = X.is_float32();
   const simd::Kernels& kernels = simd::Active();
   std::fill(grad->begin(), grad->end(), 0.0);
   double* g = grad->data();
   const double bias = theta[d];
   double loss = 0.0;
   for (size_t i = begin; i < end; ++i) {
-    const double* row = f32 ? nullptr : X.Row(i);
-    const float* rowf = f32 ? X.RowF(i) : nullptr;
-    const double z = bias + (f32 ? kernels.dot_f32(rowf, theta.data(), d)
-                                 : kernels.dot(theta.data(), row, d));
+    const float* row = X.RowF(i);
+    const double z = bias + kernels.dot_f32(row, theta.data(), d);
     const double target = y[i] == 1 ? 1.0 : 0.0;
     loss += weights[i] * (Log1pExp(z) - target * z);
     const double residual = weights[i] * (Sigmoid(z) - target);
     if (residual != 0.0) {
-      if (f32) {
-        kernels.axpy_f32(residual, rowf, g, d);
-      } else {
-        kernels.axpy(residual, row, g, d);
-      }
+      kernels.axpy_f32(residual, row, g, d);
       g[d] += residual;
     }
   }
@@ -112,7 +105,7 @@ LogisticRegressionModel::LogisticRegressionModel(std::vector<double> coefficient
 std::vector<double> LogisticRegressionModel::PredictProba(const Matrix& X) const {
   OF_CHECK_EQ(X.cols(), coefficients_.size());
   // Fused batch predict: the margins land straight in the output buffer (one
-  // simd matvec over either storage mode), then one batched sigmoid pass.
+  // simd matvec), then one batched sigmoid pass.
   std::vector<double> proba(X.rows());
   X.MatVecInto(coefficients_.data(), proba.data());
   for (double& p : proba) p += intercept_;

@@ -34,6 +34,16 @@ Views MakeViews(std::vector<double>& params, size_t d, size_t h) {
   return v;
 }
 
+/// The trained model over a flat parameter vector (layout above).
+std::unique_ptr<Classifier> ModelFromParams(const std::vector<double>& params,
+                                            size_t d, size_t h) {
+  const double* b1 = params.data() + h * d;
+  const double* w2 = b1 + h;
+  return std::make_unique<MlpModel>(
+      d, std::vector<double>(params.data(), b1), std::vector<double>(b1, w2),
+      std::vector<double>(w2, w2 + h), w2[h]);
+}
+
 /// Forward/backward over rows [begin, end) at parameters `v`, accumulating
 /// unnormalized gradient sums into `g`; returns the unnormalized weighted
 /// loss sum. `hidden` / `relu_active` are caller-owned scratch of size h.
@@ -44,20 +54,16 @@ double AccumulateLossGrad(const Matrix& X, const std::vector<int>& y,
                           const Views& g, size_t begin, size_t end, size_t d,
                           size_t h, std::vector<double>& hidden,
                           std::vector<double>& relu_active) {
-  const bool f32 = X.is_float32();
   const simd::Kernels& kernels = simd::Active();
   double loss = 0.0;
   for (size_t i = begin; i < end; ++i) {
     // Forward/backward dots and the gradient rank-1 update run on the simd
     // kernels; float32 feature rows widen per lane against the double
-    // parameters, so accumulators stay double in either storage mode.
-    const double* row = f32 ? nullptr : X.Row(i);
-    const float* rowf = f32 ? X.RowF(i) : nullptr;
+    // parameters, so accumulators stay double.
+    const float* row = X.RowF(i);
     double z2 = *v.b2;
     for (size_t j = 0; j < h; ++j) {
-      const double* wj = v.W1 + j * d;
-      const double z = v.b1[j] + (f32 ? kernels.dot_f32(rowf, wj, d)
-                                      : kernels.dot(wj, row, d));
+      const double z = v.b1[j] + kernels.dot_f32(row, v.W1 + j * d, d);
       relu_active[j] = z > 0.0 ? 1.0 : 0.0;
       hidden[j] = z > 0.0 ? z : 0.0;
       z2 += v.w2[j] * hidden[j];
@@ -71,12 +77,7 @@ double AccumulateLossGrad(const Matrix& X, const std::vector<int>& y,
       const double delta1 = delta2 * v.w2[j] * relu_active[j];
       if (delta1 == 0.0) continue;
       g.b1[j] += delta1;
-      double* gw = g.W1 + j * d;
-      if (f32) {
-        kernels.axpy_f32(delta1, rowf, gw, d);
-      } else {
-        kernels.axpy(delta1, row, gw, d);
-      }
+      kernels.axpy_f32(delta1, row, g.W1 + j * d, d);
     }
   }
   return loss;
@@ -84,14 +85,22 @@ double AccumulateLossGrad(const Matrix& X, const std::vector<int>& y,
 
 }  // namespace
 
-MlpModel::MlpModel(Matrix W1, std::vector<double> b1, std::vector<double> w2, double b2)
-    : W1_(std::move(W1)), b1_(std::move(b1)), w2_(std::move(w2)), b2_(b2) {}
+MlpModel::MlpModel(size_t inputs, std::vector<double> W1, std::vector<double> b1,
+                   std::vector<double> w2, double b2)
+    : inputs_(inputs),
+      W1_(std::move(W1)),
+      b1_(std::move(b1)),
+      w2_(std::move(w2)),
+      b2_(b2) {
+  OF_CHECK_EQ(W1_.size(), b1_.size() * inputs_);
+  OF_CHECK_EQ(w2_.size(), b1_.size());
+}
 
 std::vector<double> MlpModel::PredictProba(const Matrix& X) const {
-  OF_CHECK_EQ(X.cols(), W1_.cols());
+  const size_t d = inputs_;
+  OF_CHECK_EQ(X.cols(), d);
   const size_t n = X.rows();
-  const size_t h = W1_.rows();
-  const bool f32 = X.is_float32();
+  const size_t h = hidden_units();
   std::vector<double> proba(n);
   std::vector<double> hidden(h);  // one reused scratch row of activations
   const simd::Kernels& kernels = simd::Active();
@@ -102,13 +111,9 @@ std::vector<double> MlpModel::PredictProba(const Matrix& X) const {
   for (size_t start = 0; start < n; start += kBlockRows) {
     const size_t end = std::min(n, start + kBlockRows);
     for (size_t i = start; i < end; ++i) {
-      if (f32) {
-        W1_.MatVecInto(X.RowF(i), hidden.data());
-      } else {
-        W1_.MatVecInto(X.Row(i), hidden.data());
-      }
+      const float* row = X.RowF(i);
       for (size_t j = 0; j < h; ++j) {
-        const double z = hidden[j] + b1_[j];
+        const double z = kernels.dot_f32(row, W1_.data() + j * d, d) + b1_[j];
         hidden[j] = z > 0.0 ? z : 0.0;  // ReLU
       }
       proba[i] = b2_ + kernels.dot(w2_.data(), hidden.data(), h);
@@ -234,14 +239,7 @@ std::unique_ptr<Classifier> MlpTrainer::Fit(const Matrix& X, const std::vector<i
 
   if (warm_start_) warm_params_ = params;
 
-  Views v = MakeViews(params, d, h);
-  Matrix W1(h, d);
-  for (size_t j = 0; j < h; ++j) {
-    for (size_t c = 0; c < d; ++c) W1(j, c) = v.W1[j * d + c];
-  }
-  std::vector<double> b1(v.b1, v.b1 + h);
-  std::vector<double> w2(v.w2, v.w2 + h);
-  return std::make_unique<MlpModel>(std::move(W1), std::move(b1), std::move(w2), *v.b2);
+  return ModelFromParams(params, d, h);
 }
 
 std::unique_ptr<Classifier> MlpTrainer::FitMiniBatch(
@@ -255,14 +253,7 @@ std::unique_ptr<Classifier> MlpTrainer::FitMiniBatch(
   const size_t num_batches = batch > 0 ? (n + batch - 1) / batch : 0;
   if (num_batches == 0) {
     // Degenerate empty input: return the untrained initialization.
-    Views v = MakeViews(params, d, h);
-    Matrix W1(h, d);
-    for (size_t j = 0; j < h; ++j) {
-      for (size_t c = 0; c < d; ++c) W1(j, c) = v.W1[j * d + c];
-    }
-    return std::make_unique<MlpModel>(std::move(W1),
-                                      std::vector<double>(v.b1, v.b1 + h),
-                                      std::vector<double>(v.w2, v.w2 + h), *v.b2);
+    return ModelFromParams(params, d, h);
   }
 
   std::vector<double> grad(p, 0.0);
@@ -358,14 +349,7 @@ std::unique_ptr<Classifier> MlpTrainer::FitMiniBatch(
 
   if (warm_start_) warm_params_ = params;
 
-  Views v = MakeViews(params, d, h);
-  Matrix W1(h, d);
-  for (size_t j = 0; j < h; ++j) {
-    for (size_t c = 0; c < d; ++c) W1(j, c) = v.W1[j * d + c];
-  }
-  std::vector<double> b1(v.b1, v.b1 + h);
-  std::vector<double> w2(v.w2, v.w2 + h);
-  return std::make_unique<MlpModel>(std::move(W1), std::move(b1), std::move(w2), *v.b2);
+  return ModelFromParams(params, d, h);
 }
 
 }  // namespace omnifair

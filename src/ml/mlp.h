@@ -38,20 +38,26 @@ struct MlpOptions {
 };
 
 /// A trained one-hidden-layer MLP: p = sigmoid(w2 . relu(W1 x + b1) + b2).
+/// The weights are double; W1 is a flat row-major hidden x inputs array
+/// (hidden unit j's weights at W1[j * inputs, (j + 1) * inputs)).
 class MlpModel : public Classifier {
  public:
-  MlpModel(Matrix W1, std::vector<double> b1, std::vector<double> w2, double b2);
+  MlpModel(size_t inputs, std::vector<double> W1, std::vector<double> b1,
+           std::vector<double> w2, double b2);
 
   std::vector<double> PredictProba(const Matrix& X) const override;
   std::string Name() const override { return "mlp"; }
 
-  const Matrix& W1() const { return W1_; }
+  size_t inputs() const { return inputs_; }
+  size_t hidden_units() const { return b1_.size(); }
+  const std::vector<double>& W1() const { return W1_; }
   const std::vector<double>& b1() const { return b1_; }
   const std::vector<double>& w2() const { return w2_; }
   double b2() const { return b2_; }
 
  private:
-  Matrix W1_;               // hidden x input
+  size_t inputs_;
+  std::vector<double> W1_;  // hidden x inputs, row-major
   std::vector<double> b1_;  // hidden
   std::vector<double> w2_;  // hidden
   double b2_;

@@ -24,8 +24,6 @@ std::vector<double> NaiveBayesModel::PredictProba(const Matrix& X) const {
   std::vector<double> proba(X.rows());
   for (size_t i = 0; i < X.rows(); ++i) {
     // log P(y=1|x) - log P(y=0|x) under the independence assumption.
-    // Element access via operator() keeps this path storage-agnostic
-    // (double or float32 features); the per-element log/exp dominate.
     double log_odds = log_prior_ratio_;
     for (size_t c = 0; c < mean0_.size(); ++c) {
       const double x = X(i, c);

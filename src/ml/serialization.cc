@@ -204,13 +204,9 @@ Status SerializeModelBinary(const Classifier& model, BinaryWriter& writer) {
   }
   if (const auto* mlp = dynamic_cast<const MlpModel*>(&model)) {
     writer.U8(kTagMlp);
-    writer.U64(mlp->W1().rows());
-    writer.U64(mlp->W1().cols());
-    for (size_t r = 0; r < mlp->W1().rows(); ++r) {
-      for (size_t c = 0; c < mlp->W1().cols(); ++c) {
-        writer.F64(mlp->W1()(r, c));
-      }
-    }
+    writer.U64(mlp->hidden_units());
+    writer.U64(mlp->inputs());
+    for (double w : mlp->W1()) writer.F64(w);
     writer.F64Vector(mlp->b1());
     writer.F64Vector(mlp->w2());
     writer.F64(mlp->b2());
@@ -308,11 +304,9 @@ Result<std::unique_ptr<Classifier>> DeserializeModelBinary(BinaryReader& reader)
                                 " hidden layer exceeding payload at byte " +
                                 std::to_string(reader.offset()));
       }
-      Matrix W1(static_cast<size_t>(hidden), static_cast<size_t>(inputs));
-      for (size_t r = 0; r < W1.rows(); ++r) {
-        for (size_t c = 0; c < W1.cols(); ++c) {
-          if (!reader.F64(&W1(r, c))) return reader.status();
-        }
+      std::vector<double> W1(static_cast<size_t>(hidden * inputs));
+      for (double& w : W1) {
+        if (!reader.F64(&w)) return reader.status();
       }
       std::vector<double> b1;
       std::vector<double> w2;
@@ -320,8 +314,13 @@ Result<std::unique_ptr<Classifier>> DeserializeModelBinary(BinaryReader& reader)
       if (!reader.F64Vector(&b1) || !reader.F64Vector(&w2) || !reader.F64(&b2)) {
         return reader.status();
       }
+      if (b1.size() != hidden || w2.size() != hidden) {
+        return Status::DataLoss("mlp bias/output widths disagree with its " +
+                                std::to_string(hidden) + " hidden units");
+      }
       return std::unique_ptr<Classifier>(std::make_unique<MlpModel>(
-          std::move(W1), std::move(b1), std::move(w2), b2));
+          static_cast<size_t>(inputs), std::move(W1), std::move(b1),
+          std::move(w2), b2));
     }
     default:
       return Status::DataLoss("unknown binary model family tag " +

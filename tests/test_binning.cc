@@ -19,7 +19,7 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   Rng rng(seed);
   Matrix X(rows, cols);
   for (size_t i = 0; i < rows; ++i) {
-    for (size_t f = 0; f < cols; ++f) X(i, f) = rng.NextGaussian(0.0, 3.0);
+    for (size_t f = 0; f < cols; ++f) X.Set(i, f, rng.NextGaussian(0.0, 3.0));
   }
   return X;
 }
@@ -27,8 +27,8 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
 TEST(BinningTest, ConstantFeatureGetsSingleBin) {
   Matrix X(50, 2);
   for (size_t i = 0; i < X.rows(); ++i) {
-    X(i, 0) = 7.25;                          // constant
-    X(i, 1) = static_cast<double>(i % 10);  // varying
+    X.Set(i, 0, 7.25);                         // constant
+    X.Set(i, 1, static_cast<double>(i % 10));  // varying
   }
   const auto binned = BinnedMatrix::Build(X, 255);
   EXPECT_EQ(binned->NumBins(0), 1);
@@ -42,7 +42,7 @@ TEST(BinningTest, FewDistinctValuesGetOneBinEach) {
   // boundaries at the midpoints between adjacent values.
   Matrix X(40, 1);
   const double values[4] = {-2.0, 0.5, 3.0, 9.0};
-  for (size_t i = 0; i < X.rows(); ++i) X(i, 0) = values[i % 4];
+  for (size_t i = 0; i < X.rows(); ++i) X.Set(i, 0, values[i % 4]);
   const auto binned = BinnedMatrix::Build(X, 255);
   ASSERT_EQ(binned->NumBins(0), 4);
   EXPECT_DOUBLE_EQ(binned->Boundary(0, 0), 0.5 * (-2.0 + 0.5));
@@ -59,7 +59,7 @@ TEST(BinningTest, QuantileBinsAreNearEqualCount) {
   Rng rng(3);
   for (size_t i = 0; i < X.rows(); ++i) {
     const double u = rng.NextUniform(0.0, 1.0);
-    X(i, 0) = u * u * u;  // skewed toward 0
+    X.Set(i, 0, u * u * u);  // skewed toward 0
   }
   const auto binned = BinnedMatrix::Build(X, 8);
   ASSERT_EQ(binned->NumBins(0), 8);

@@ -1,8 +1,8 @@
 // Chaos + parity suite for versioned binary model bundles (DESIGN.md §15):
-// bit-identical flat predict across every model family / storage mode /
-// thread count, wire-format inspection, and fault-injected corruption
-// (truncation, bit flips, the io.corrupt_read site) always failing with
-// typed statuses.
+// bit-identical flat predict across every model family and thread count,
+// served scores bit-identical to the trained model, wire-format inspection,
+// and fault-injected corruption (truncation, bit flips, the io.corrupt_read
+// site) always failing with typed statuses.
 
 #include "ml/bundle.h"
 
@@ -26,6 +26,7 @@
 #include "ml/naive_bayes.h"
 #include "ml/random_forest.h"
 #include "ml/trainer_registry.h"
+#include "serve/server.h"
 #include "tests/testing_fairness.h"
 #include "util/fault_injector.h"
 #include "util/snapshot_io.h"
@@ -87,23 +88,18 @@ class BundleTest : public ::testing::Test {
   }
 
   /// PredictProba of `model` and the bundle's flat model must agree bit for
-  /// bit on double and float32 feature storage, at 1 and 4 predict threads.
+  /// bit at 1 and 4 predict threads.
   void ExpectBitIdentical(const Classifier& model, const ModelBundle& bundle) {
-    const Matrix Xf = X_.ToFloat32();
-    const std::vector<double> want64 = model.PredictProba(X_);
-    const std::vector<double> want32 = model.PredictProba(Xf);
+    const std::vector<double> want = model.PredictProba(X_);
     for (int threads : {1, 4}) {
       std::unique_ptr<Classifier> flat = bundle.MakeModel(threads);
       ASSERT_NE(flat, nullptr);
       EXPECT_EQ(flat->Name(), model.Name());
-      const std::vector<double> got64 = flat->PredictProba(X_);
-      const std::vector<double> got32 = flat->PredictProba(Xf);
-      ASSERT_EQ(got64.size(), want64.size());
-      for (size_t i = 0; i < want64.size(); ++i) {
-        EXPECT_EQ(got64[i], want64[i])
-            << model.Name() << " f64 row " << i << " threads " << threads;
-        EXPECT_EQ(got32[i], want32[i])
-            << model.Name() << " f32 row " << i << " threads " << threads;
+      const std::vector<double> got = flat->PredictProba(X_);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i], want[i])
+            << model.Name() << " row " << i << " threads " << threads;
       }
     }
   }
@@ -275,6 +271,44 @@ TEST(FairModelBundleTest, TrainedFairModelRoundTrip) {
   ASSERT_TRUE(original_audit.ok());
   ASSERT_TRUE(bundle_audit.ok());
   EXPECT_EQ(bundle_audit->max_disparity, original_audit->max_disparity);
+}
+
+TEST(FairModelBundleTest, ServedScoresBitIdenticalPerFamily) {
+  // Train/serve skew guard: a served score is the score the trained model
+  // gave in-process. The bundle's encoder must rebuild exactly the features
+  // the model trained on, and the flat model must replay its arithmetic, so
+  // every score matches FairModel::PredictProba byte for byte.
+  SyntheticOptions options;
+  options.num_rows = 3000;
+  options.seed = 7;
+  const Dataset dataset = MakeAdultDataset(options);
+  const TrainValTestSplit split = SplitDefault(dataset, 3);
+  const FairnessSpec spec = MakeSpec(GroupByAttribute("sex"), "sp", 0.05);
+  for (const char* family : {"lr", "xgb", "nn"}) {
+    SCOPED_TRACE(family);
+    auto trainer = MakeTrainer(family);
+    auto fair = OmniFair().Train(split.train, split.val, trainer.get(), {spec});
+    ASSERT_TRUE(fair.ok()) << fair.status();
+    const std::vector<double> want = fair->PredictProba(split.test);
+
+    const std::string path = TempPath(std::string("served_") + family + ".ofb");
+    ASSERT_TRUE(WriteBundle(*fair->model, fair->encoder, BundleMeta(), path).ok());
+    auto bundle = ModelBundle::Open(path);
+    ASSERT_TRUE(bundle.ok()) << bundle.status();
+    auto request = MakeRequest(**bundle, split.test, "sex");
+    ASSERT_TRUE(request.ok()) << request.status();
+    auto response = BundleServer(*bundle).Handle(*request);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_EQ(response->scores.size(), want.size());
+    size_t differing = 0;
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (std::memcmp(&response->scores[i], &want[i], sizeof(double)) != 0) {
+        ++differing;
+      }
+    }
+    EXPECT_EQ(differing, 0u) << "of " << want.size() << " served scores";
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(BundleTest, InspectReportsSectionsAndCrc) {

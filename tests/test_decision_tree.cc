@@ -86,8 +86,7 @@ TEST(DecisionTreeTest, PureNodeStopsSplitting) {
 
 TEST(DecisionTreeTest, WeightsChangeLeafProbabilities) {
   // A single ambiguous region: weighting flips the majority.
-  Matrix X(4, 1);
-  X(0, 0) = X(1, 0) = X(2, 0) = X(3, 0) = 0.0;  // identical features
+  Matrix X(4, 1);  // identical (all-zero) features
   const std::vector<int> y = {1, 1, 0, 0};
   DecisionTreeTrainer trainer;
   const auto balanced = trainer.Fit(X, y, {1.0, 1.0, 1.0, 1.0});

@@ -1,6 +1,8 @@
 #include "core/lambda_tuner.h"
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -21,15 +23,24 @@ std::unique_ptr<FairnessProblem> MakeProblem(const Dataset& train, const Dataset
   return std::move(*problem);
 }
 
-/// Lemma 2 empirically: for constant-coefficient metrics the training-set
-/// fairness part FP(theta_lambda) is (approximately) non-decreasing in
-/// lambda. We allow a small numeric slack since the LR fit is iterative.
-TEST(LambdaTunerTest, Lemma2MonotonicityOnTrainingSet) {
-  const Dataset train = MakeBiasedDataset(1500, 0.7, 0.25, 1);
+/// Lemma 2 empirically, over seeds x constant-coefficient metrics: the
+/// training-set fairness part FP(theta_lambda) of LR on the (float32)
+/// encoded features is (approximately) non-decreasing in lambda. We allow a
+/// small numeric slack since the LR fit is iterative. On the same draw,
+/// Algorithm 1's `satisfied` must mean |FP| <= epsilon on validation.
+class Lemma2PropertyTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, const char*>> {};
+
+TEST_P(Lemma2PropertyTest, MonotoneOnTrainingSetAndSatisfiedMeansWithinEpsilon) {
+  const auto [seed, metric] = GetParam();
+  const double epsilon = 0.03;
+  const Dataset train = MakeBiasedDataset(1500, 0.7, 0.25, seed);
   LogisticRegressionTrainer trainer;
   // Use the train split as "validation" so FP is measured on train, which
   // is the setting of Lemma 2.
-  auto problem = MakeProblem(train, train, "sp", 0.03, &trainer);
+  auto problem = MakeProblem(train, train, metric, epsilon, &trainer);
+  const Matrix& X = problem->train_features();
+  ASSERT_EQ(X.RawBytes(), X.rows() * X.cols() * sizeof(float));
 
   const double lambdas[] = {-0.4, -0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2, 0.4};
   double previous_fp = -2.0;
@@ -40,7 +51,23 @@ TEST(LambdaTunerTest, Lemma2MonotonicityOnTrainingSet) {
     EXPECT_GE(fp, previous_fp - 0.02) << "lambda " << lambda;
     previous_fp = std::max(previous_fp, fp);
   }
+
+  const TuneResult result = LambdaTuner().TuneSingle(*problem);
+  if (result.satisfied) {
+    ASSERT_EQ(result.val_fairness_parts.size(), 1u);
+    EXPECT_LE(std::fabs(result.val_fairness_parts[0]), epsilon + 1e-12);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByMetric, Lemma2PropertyTest,
+    ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{2}, uint64_t{3},
+                                         uint64_t{4}, uint64_t{5}),
+                       ::testing::Values("sp", "fpr", "fnr", "mr")),
+    [](const ::testing::TestParamInfo<Lemma2PropertyTest::ParamType>& info) {
+      return std::string(std::get<1>(info.param)) + "_seed" +
+             std::to_string(std::get<0>(info.param));
+    });
 
 TEST(LambdaTunerTest, TuneSingleSatisfiesSp) {
   const Dataset data = MakeBiasedDataset(3000, 0.7, 0.25, 2);

@@ -1,7 +1,7 @@
 #include "linalg/matrix.h"
 
 #include <limits>
-#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,14 +34,14 @@ TEST(MatrixTest, InitializerList) {
 
 TEST(MatrixTest, ElementWrite) {
   Matrix m(2, 2);
-  m(1, 1) = 7.0;
+  m.Set(1, 1, 7.0);
   EXPECT_DOUBLE_EQ(m(1, 1), 7.0);
   EXPECT_DOUBLE_EQ(m(0, 0), 0.0);
 }
 
 TEST(MatrixTest, RowPointerIsContiguous) {
   Matrix m = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const double* row = m.Row(1);
+  const float* row = m.RowF(1);
   EXPECT_DOUBLE_EQ(row[0], 4.0);
   EXPECT_DOUBLE_EQ(row[2], 6.0);
 }
@@ -117,92 +117,59 @@ TEST(MatrixTest, TransposeMatVecIntoMatchesTransposeMatVec) {
   for (size_t i = 0; i < raw.size(); ++i) EXPECT_NEAR(raw[i], expected[i], 1e-12);
 }
 
-TEST(MatrixFloat32Test, FactoryAndElementAccess) {
-  Matrix m = Matrix::Float32(2, 3);
-  EXPECT_TRUE(m.is_float32());
-  EXPECT_EQ(m.storage(), Matrix::Storage::kFloat32);
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_EQ(m.cols(), 3u);
-  m.Set(1, 2, 6.5);  // exactly representable in float
-  // Reads go through the const operator(), which widens either storage;
-  // the mutable double& overload is double-only by design.
-  const Matrix& cm = m;
-  EXPECT_DOUBLE_EQ(cm(1, 2), 6.5);
-  EXPECT_DOUBLE_EQ(cm(0, 0), 0.0);
-  EXPECT_FLOAT_EQ(m.RowF(1)[2], 6.5f);
-}
-
-TEST(MatrixFloat32Test, SetNarrowsOncePerElement) {
-  Matrix m = Matrix::Float32(1, 1);
+TEST(MatrixTest, WritesNarrowToFloatOnce) {
   const double value = 0.1;  // not representable in float
-  m.Set(0, 0, value);
-  EXPECT_DOUBLE_EQ(std::as_const(m)(0, 0),
-                   static_cast<double>(static_cast<float>(value)));
+  const double narrowed = static_cast<double>(static_cast<float>(value));
+  Matrix m(1, 2, value);
+  EXPECT_EQ(m(0, 1), narrowed);
+  m.Set(0, 0, -value);
+  EXPECT_EQ(m(0, 0), -narrowed);
+  EXPECT_EQ(m.RowF(0)[0], -static_cast<float>(value));
+  m.AppendRow({value, 6.5});
+  EXPECT_EQ(m(1, 0), narrowed);
+  EXPECT_EQ(m(1, 1), 6.5);  // exactly representable
+  const Matrix listed = {{value}};
+  EXPECT_EQ(listed(0, 0), narrowed);
 }
 
-TEST(MatrixFloat32Test, RowAndColVectorWiden) {
-  Matrix m = Matrix::Float32(2, 2);
-  m.Set(0, 0, 1.0);
-  m.Set(0, 1, 2.0);
-  m.Set(1, 0, 3.0);
-  m.Set(1, 1, 4.0);
-  EXPECT_EQ(m.RowVector(1), (std::vector<double>{3.0, 4.0}));
-  EXPECT_EQ(m.ColVector(0), (std::vector<double>{1.0, 3.0}));
+TEST(MatrixTest, SelectRowsCopiesElementsBitExact) {
+  Matrix m(3, 2);
+  m.Set(0, 0, 0.1);
+  m.Set(2, 1, -1.0 / 3.0);
+  const Matrix s = m.SelectRows({2, 0});
+  EXPECT_EQ(s.RowF(0)[1], m.RowF(2)[1]);
+  EXPECT_EQ(s.RowF(1)[0], m.RowF(0)[0]);
+  EXPECT_EQ(s.RowF(1)[1], 0.0f);
 }
 
-TEST(MatrixFloat32Test, SelectRowsAndAppendRowPreserveStorage) {
-  Matrix m = Matrix::Float32(2, 2);
-  m.Set(0, 0, 1.0);
-  m.Set(1, 0, 2.0);
-  Matrix s = m.SelectRows({1, 0});
-  EXPECT_TRUE(s.is_float32());
-  EXPECT_DOUBLE_EQ(std::as_const(s)(0, 0), 2.0);
-  s.AppendRow({7.0, 8.0});
-  EXPECT_EQ(s.rows(), 3u);
-  EXPECT_DOUBLE_EQ(std::as_const(s)(2, 1), 8.0);
+TEST(MatrixTest, RawBytesAreFourPerElement) {
+  Matrix m(4, 3);
+  EXPECT_EQ(m.RawBytes(), 4u * 3u * sizeof(float));
+  EXPECT_EQ(m.RawData(), static_cast<const void*>(m.RowF(0)));
+  EXPECT_EQ(Matrix().RawBytes(), 0u);
 }
 
-TEST(MatrixFloat32Test, ConversionsRoundTrip) {
-  Matrix m = {{1.25, -2.5}, {3.0, 0.0}};  // float-exact values
-  Matrix f = m.ToFloat32();
-  EXPECT_TRUE(f.is_float32());
-  Matrix back = f.ToFloat64();
-  EXPECT_FALSE(back.is_float32());
-  for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 2; ++c) EXPECT_DOUBLE_EQ(back(r, c), m(r, c));
-  }
-}
-
-TEST(MatrixFloat32Test, RawBytesReflectStorageWidth) {
-  Matrix d(4, 3);
-  EXPECT_EQ(d.RawBytes(), 4u * 3u * sizeof(double));
-  Matrix f = Matrix::Float32(4, 3);
-  EXPECT_EQ(f.RawBytes(), 4u * 3u * sizeof(float));
-  EXPECT_NE(f.RawData(), nullptr);
-}
-
-TEST(MatrixFloat32Test, MatVecMatchesDoubleWithinFloatTolerance) {
-  Matrix d = {{1.0, -2.0, 0.5}, {3.0, 4.0, -1.0}, {0.25, 0.75, 2.0}};
-  Matrix f = d.ToFloat32();
+TEST(MatrixTest, ProductsMatchDoubleReferenceOnStoredValues) {
+  // Values that float32 rounds: the products must equal double arithmetic
+  // over the widened stored elements, not over the unrounded inputs.
+  Matrix m = {{0.1, -2.3, 0.7}, {3.3, 4.1, -1.9}, {0.25, 0.6, 2.2}};
   const std::vector<double> x = {0.7, -1.3, 0.2};
-  const std::vector<double> expected = d.MatVec(x);
   std::vector<double> y;
-  f.MatVecInto(x, &y);
-  ASSERT_EQ(y.size(), expected.size());
-  // These elements are float-exact, so the products agree exactly.
-  for (size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], expected[i], 1e-12);
-  std::vector<double> t0, t1;
-  d.TransposeMatVecInto({1.0, 0.5, -0.25}, &t0);
-  f.TransposeMatVecInto({1.0, 0.5, -0.25}, &t1);
-  for (size_t i = 0; i < t0.size(); ++i) EXPECT_NEAR(t1[i], t0[i], 1e-12);
-}
-
-TEST(MatrixDeathTest, WrongStorageAccessorDies) {
-  Matrix f = Matrix::Float32(1, 1);
-  EXPECT_DEATH({ f.Row(0); }, "Row");
-  EXPECT_DEATH({ f.data(); }, "data");
-  Matrix d(1, 1);
-  EXPECT_DEATH({ d.RowF(0); }, "RowF");
+  m.MatVecInto(x, &y);
+  ASSERT_EQ(y.size(), 3u);
+  for (size_t r = 0; r < 3; ++r) {
+    double expected = 0.0;
+    for (size_t c = 0; c < 3; ++c) expected += m(r, c) * x[c];
+    EXPECT_NEAR(y[r], expected, 1e-12);
+  }
+  const std::vector<double> w = {1.0, 0.5, -0.25};
+  const std::vector<double> t = m.TransposeMatVec(w);
+  ASSERT_EQ(t.size(), 3u);
+  for (size_t c = 0; c < 3; ++c) {
+    double expected = 0.0;
+    for (size_t r = 0; r < 3; ++r) expected += w[r] * m(r, c);
+    EXPECT_NEAR(t[c], expected, 1e-12);
+  }
 }
 
 TEST(MatrixDeathTest, ShapeOverflowDiesInsteadOfWrapping) {

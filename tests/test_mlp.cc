@@ -90,11 +90,7 @@ TEST(MlpSgdTest, BatchSizeZeroIsBitIdenticalToFullBatch) {
     EXPECT_EQ(na.w2()[i], nb.w2()[i]);
   }
   EXPECT_EQ(na.b2(), nb.b2());
-  for (size_t r = 0; r < na.W1().rows(); ++r) {
-    for (size_t c = 0; c < na.W1().cols(); ++c) {
-      EXPECT_EQ(na.W1()(r, c), nb.W1()(r, c));
-    }
-  }
+  EXPECT_EQ(na.W1(), nb.W1());
 }
 
 TEST(MlpSgdTest, MiniBatchLearnsSeparableData) {

@@ -2,6 +2,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -107,6 +108,25 @@ TEST(SerializationTest, BinaryTreeWithBadChildrenRejected) {
     EXPECT_NE(loaded.status().message().find("invalid children"),
               std::string::npos)
         << loaded.status();
+  }
+}
+
+TEST(SerializationTest, BinaryMlpWithMismatchedLayerWidthsIsDataLoss) {
+  // A 2x1 hidden layer whose bias/output vectors claim other widths: a
+  // consistent-looking payload the model could not be built from.
+  for (const auto& [b1_width, w2_width] : {std::pair{1, 2}, std::pair{2, 3}}) {
+    BinaryWriter writer;
+    writer.U8(6);  // mlp tag
+    writer.U64(2);  // hidden units
+    writer.U64(1);  // inputs
+    writer.F64(0.5);
+    writer.F64(-0.5);
+    writer.F64Vector(std::vector<double>(b1_width, 0.0));
+    writer.F64Vector(std::vector<double>(w2_width, 1.0));
+    writer.F64(0.0);  // b2
+    auto loaded = DeserializeModelBinary(writer.buffer());
+    ASSERT_FALSE(loaded.ok()) << b1_width << "," << w2_width;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   }
 }
 

@@ -320,10 +320,14 @@ TEST(SimdEndToEndTest, TrainOutcomeMatchesScalarBackend) {
   simd::SetActiveBackend(original);
 }
 
-/// Float32 feature storage trains end to end and lands near the double
-/// pipeline: features lose one float rounding at encode time, the rest of
-/// the arithmetic is unchanged.
+/// Float32 feature storage trains end to end and lands near the retired
+/// double-feature pipeline: features lose one float rounding at encode time,
+/// the rest of the arithmetic is unchanged. The constants are what this
+/// same run gave with double feature storage (satisfied, at lambda
+/// -0.12890625).
 TEST(SimdEndToEndTest, Float32StorageTrainsCloseToDouble) {
+  constexpr double kDoubleValAccuracy = 0.81333333333333335;
+  constexpr double kDoubleValFairnessPart = 0.033522727272727093;
   SyntheticOptions options;
   options.num_rows = 1500;
   options.seed = 11;
@@ -333,20 +337,13 @@ TEST(SimdEndToEndTest, Float32StorageTrainsCloseToDouble) {
       GroupByAttributeValues("race", {"African-American", "Caucasian"}), "sp",
       0.05);
 
-  auto train_with = [&](bool float32) {
-    auto trainer = MakeTrainer("lr");
-    OmniFairOptions opts;
-    opts.encoder.float32_features = float32;
-    OmniFair omnifair(opts);
-    auto fair = omnifair.Train(split.train, split.val, trainer.get(), {spec});
-    EXPECT_TRUE(fair.ok()) << fair.status();
-    return std::move(*fair);
-  };
-  auto f64 = train_with(false);
-  auto f32 = train_with(true);
-  EXPECT_TRUE(f32.satisfied);
-  EXPECT_NEAR(f32.val_accuracy, f64.val_accuracy, 0.02);
-  EXPECT_NEAR(f32.val_fairness_parts[0], f64.val_fairness_parts[0], 0.02);
+  auto trainer = MakeTrainer("lr");
+  auto fair = OmniFair().Train(split.train, split.val, trainer.get(), {spec});
+  ASSERT_TRUE(fair.ok()) << fair.status();
+  EXPECT_TRUE(fair->satisfied);
+  EXPECT_NEAR(fair->val_accuracy, kDoubleValAccuracy, 0.02);
+  ASSERT_EQ(fair->val_fairness_parts.size(), 1u);
+  EXPECT_NEAR(fair->val_fairness_parts[0], kDoubleValFairnessPart, 0.02);
 }
 
 }  // namespace

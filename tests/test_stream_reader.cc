@@ -150,9 +150,7 @@ TEST(StreamIngestTest, SingleBlockMatchesInMemoryEncoding) {
   Result<Dataset> dataset = ReadCsv(csv, read_options);
   ASSERT_TRUE(dataset.ok());
   FeatureEncoder encoder;
-  EncoderOptions encoder_options;
-  encoder_options.float32_features = true;
-  const Matrix expected = encoder.FitTransform(*dataset, encoder_options);
+  const Matrix expected = encoder.FitTransform(*dataset);
 
   Result<ChunkedDataset> chunked = ChunkedDataset::Open(out);
   ASSERT_TRUE(chunked.ok()) << chunked.status();

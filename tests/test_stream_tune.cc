@@ -35,7 +35,7 @@ void WriteHandChunked(const std::string& path,
   ASSERT_TRUE(writer.ok()) << writer.status();
   for (const HandBlock& hand : blocks) {
     DatasetBlock block;
-    block.features = Matrix::Float32(hand.features.size(), nf);
+    block.features = Matrix(hand.features.size(), nf);
     for (size_t r = 0; r < hand.features.size(); ++r) {
       for (size_t c = 0; c < nf; ++c) {
         block.features.Set(r, c, hand.features[r][c]);

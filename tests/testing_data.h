@@ -26,8 +26,8 @@ inline Blobs MakeBlobs(size_t n, double separation, uint64_t seed) {
   for (size_t i = 0; i < n; ++i) {
     const int label = rng.NextBernoulli(0.5) ? 1 : 0;
     const double center = label == 1 ? separation : -separation;
-    blobs.X(i, 0) = rng.NextGaussian(center, 1.0);
-    blobs.X(i, 1) = rng.NextGaussian(center, 1.0);
+    blobs.X.Set(i, 0, rng.NextGaussian(center, 1.0));
+    blobs.X.Set(i, 1, rng.NextGaussian(center, 1.0));
     blobs.y[i] = label;
   }
   blobs.unit_weights.assign(n, 1.0);
@@ -43,8 +43,8 @@ inline Blobs MakeXor(size_t n, uint64_t seed) {
   for (size_t i = 0; i < n; ++i) {
     const double x0 = rng.NextUniform(-1.0, 1.0);
     const double x1 = rng.NextUniform(-1.0, 1.0);
-    blobs.X(i, 0) = x0;
-    blobs.X(i, 1) = x1;
+    blobs.X.Set(i, 0, x0);
+    blobs.X.Set(i, 1, x1);
     blobs.y[i] = (x0 > 0.0) != (x1 > 0.0) ? 1 : 0;
   }
   blobs.unit_weights.assign(n, 1.0);

@@ -16,7 +16,8 @@ namespace omnifair {
 namespace testing_splits {
 
 /// Weighted binary data whose features take few distinct values (fewer than
-/// BinnedMatrix::kMaxBins), so every node-local midpoint is a bin boundary.
+/// BinnedMatrix::kMaxBins), all exact in float32 storage, so every node-local
+/// midpoint is a bin boundary.
 /// The informative 0/1 feature has exactly one candidate split, the last
 /// (and only) bin boundary, which an off-by-one in the bin scan would miss.
 struct GridData {
@@ -36,10 +37,10 @@ inline GridData MakeGridData(size_t n, uint64_t seed) {
     const double x1 = static_cast<double>(rng.NextBounded(12)) * 0.5;
     const double x2 = static_cast<double>(rng.NextBounded(90)) - 45.0;
     const double x3 = rng.NextBernoulli(0.5) ? 1.0 : 0.0;
-    data.X(i, 0) = x0;
-    data.X(i, 1) = x1;
-    data.X(i, 2) = x2;
-    data.X(i, 3) = x3;
+    data.X.Set(i, 0, x0);
+    data.X.Set(i, 1, x1);
+    data.X.Set(i, 2, x2);
+    data.X.Set(i, 3, x3);
     const double margin =
         0.1 * x0 - x1 + 0.02 * x2 + 1.5 * x3 + rng.NextGaussian(0.0, 1.0);
     data.y[i] = margin > 0.5 ? 1 : 0;
