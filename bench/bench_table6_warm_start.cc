@@ -1,6 +1,6 @@
 // Reproduces Table 6: the warm-start optimization for LR. Algorithm 1
 // retrains across nearby lambda values; initializing each fit from the
-// previous solution cuts total gradient-descent work. The paper reports
+// previous solution cuts total Newton iterations. The paper reports
 // 1.2x - 3.4x wall-clock speedups across the four datasets.
 
 #include "bench/bench_common.h"

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
+#include "linalg/simd.h"
+#include "linalg/vector_ops.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/telemetry.h"
@@ -14,14 +15,6 @@ namespace {
 bool IsValidationBlock(size_t index, const StreamTuneOptions& options) {
   const size_t period = std::max<size_t>(options.val_block_period, 2);
   return index % period == period - 1;
-}
-
-double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
-
-/// log(1 + e^z) without overflow for large |z|.
-double Log1pExp(double z) {
-  if (z > 30.0) return z;
-  return std::log1p(std::exp(z));
 }
 
 /// Per-group label counts over the train blocks.
@@ -240,19 +233,17 @@ class StreamTuner {
   /// block, and accumulation is serial — bit-identical at any thread count.
   Result<std::vector<double>> FitSgd(double lambda) {
     const size_t d = num_features_;
+    const simd::Kernels& kernels = simd::Active();
     std::vector<double> theta(d + 1, 0.0);
     std::vector<double> grad(d + 1, 0.0);
-    const size_t batch =
-        std::max<size_t>(1, std::min<size_t>(options_.batch_size,
-                                             std::numeric_limits<size_t>::max()));
-    uint64_t n_train = table_.n_train;
+    const size_t batch = std::max<size_t>(1, options_.batch_size);
+    const uint64_t n_train = table_.n_train;
     if (n_train == 0) return theta;
 
     double lr = options_.learning_rate;
     int retries = 0;
     Rng shuffle_rng(options_.shuffle_seed);
     std::vector<double> checkpoint = theta;
-    double prev_loss = std::numeric_limits<double>::infinity();
     uint64_t t = 0;  // global batch counter for kInvSqrt
 
     for (int epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -269,17 +260,16 @@ class StreamTuner {
           std::fill(grad.begin(), grad.end(), 0.0);
           double batch_loss = 0.0;
           for (size_t i = begin; i < end; ++i) {
-            const float* row = block->features.RowF(i);
-            double z = theta[d];
-            for (size_t c = 0; c < d; ++c) z += theta[c] * row[c];
             const int y = block->labels[i];
             const double w = WeightOf(block->groups[i], y, lambda);
             if (w == 0.0) continue;
+            const float* row = block->features.RowF(i);
+            const double z = theta[d] + kernels.dot_f32(row, theta.data(), d);
             const double target = static_cast<double>(y);
             batch_loss += w * (Log1pExp(z) - target * z);
             const double residual = w * (Sigmoid(z) - target);
             if (residual != 0.0) {
-              for (size_t c = 0; c < d; ++c) grad[c] += residual * row[c];
+              kernels.axpy_f32(residual, row, grad.data(), d);
               grad[d] += residual;
             }
           }
@@ -308,20 +298,18 @@ class StreamTuner {
         }
         theta = checkpoint;
         lr *= 0.5;
-        prev_loss = std::numeric_limits<double>::infinity();
         --epoch;  // retry the epoch at the smaller step
         continue;
       }
       checkpoint = theta;
-      prev_loss = epoch_loss;
     }
-    (void)prev_loss;
     return theta;
   }
 
   /// Streams the validation blocks, accumulating per-group confusion counts.
   Result<EvalResult> Evaluate(const std::vector<double>& theta) const {
     const size_t d = num_features_;
+    const simd::Kernels& kernels = simd::Active();
     const size_t num_groups = data_.meta().group_names.size();
     std::vector<ValCounts> counts(num_groups);
     uint64_t total = 0;
@@ -331,9 +319,8 @@ class StreamTuner {
       if (!block.ok()) return block.status();
       const size_t rows = block->labels.size();
       for (size_t i = 0; i < rows; ++i) {
-        const float* row = block->features.RowF(i);
-        double z = theta[d];
-        for (size_t c = 0; c < d; ++c) z += theta[c] * row[c];
+        const double z =
+            theta[d] + kernels.dot_f32(block->features.RowF(i), theta.data(), d);
         const int pred = z >= 0.0 ? 1 : 0;
         const int y = block->labels[i];
         ++total;

@@ -7,7 +7,6 @@
 
 #include "core/fairness_metric.h"
 #include "data/chunked_dataset.h"
-#include "ml/classifier.h"
 #include "util/status.h"
 
 namespace omnifair {
@@ -27,6 +26,16 @@ namespace omnifair {
 // table built in one counting pass — FOR / FDR (whose coefficients depend on
 // h(x)) return kUnsupported.
 // ---------------------------------------------------------------------------
+
+/// Learning-rate schedule of the streaming tuner's mini-batch SGD.
+enum class LrSchedule {
+  /// step = learning_rate for every batch.
+  kConstant,
+  /// step = learning_rate / sqrt(t) where t is the global 1-based batch
+  /// counter — the classic Robbins-Monro decay that keeps late batches from
+  /// undoing converged coefficients on multi-epoch runs.
+  kInvSqrt,
+};
 
 /// Knobs of the streaming tuner: Algorithm 1 search parameters plus the
 /// mini-batch SGD hyperparameters of the inner fits.
@@ -49,8 +58,8 @@ struct StreamTuneOptions {
   /// i % val_block_period == val_block_period - 1.
   size_t val_block_period = 5;
 
-  // Inner weighted mini-batch SGD (same semantics as the LR trainer's
-  // mini-batch path).
+  // Inner weighted mini-batch SGD on the LR objective of
+  // LogisticRegressionTrainer (DESIGN.md §16 says why it is not Newton).
   size_t batch_size = 4096;
   int epochs = 3;
   double learning_rate = 1.0;

@@ -63,12 +63,6 @@ std::vector<double> Matrix::MatVec(const std::vector<double>& x) const {
   return y;
 }
 
-std::vector<double> Matrix::TransposeMatVec(const std::vector<double>& x) const {
-  std::vector<double> y;
-  TransposeMatVecInto(x, &y);
-  return y;
-}
-
 void Matrix::MatVecInto(const std::vector<double>& x,
                         std::vector<double>* y) const {
   OF_CHECK_EQ(x.size(), cols_);
@@ -79,19 +73,6 @@ void Matrix::MatVecInto(const std::vector<double>& x,
 void Matrix::MatVecInto(const double* x, double* y) const {
   const simd::Kernels& k = simd::Active();
   for (size_t r = 0; r < rows_; ++r) y[r] = k.dot_f32(RowF(r), x, cols_);
-}
-
-void Matrix::TransposeMatVecInto(const std::vector<double>& x,
-                                 std::vector<double>* y) const {
-  OF_CHECK_EQ(x.size(), rows_);
-  y->assign(cols_, 0.0);
-  TransposeMatVecInto(x.data(), y->data());
-}
-
-void Matrix::TransposeMatVecInto(const double* x, double* y) const {
-  std::fill(y, y + cols_, 0.0);
-  const simd::Kernels& k = simd::Active();
-  for (size_t r = 0; r < rows_; ++r) k.axpy_f32(x[r], RowF(r), y, cols_);
 }
 
 }  // namespace omnifair

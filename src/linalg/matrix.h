@@ -59,17 +59,11 @@ class Matrix {
   /// y = this * x ; x.size() must equal cols().
   std::vector<double> MatVec(const std::vector<double>& x) const;
 
-  /// y = this^T * x ; x.size() must equal rows().
-  std::vector<double> TransposeMatVec(const std::vector<double>& x) const;
-
   /// In-place products for hot loops (no per-call allocation). The vector
-  /// forms resize the output; the raw-pointer forms require y to hold
-  /// rows() (MatVecInto) or cols() (TransposeMatVecInto) doubles.
+  /// form resizes the output; the raw-pointer form requires y to hold
+  /// rows() doubles.
   void MatVecInto(const std::vector<double>& x, std::vector<double>* y) const;
   void MatVecInto(const double* x, double* y) const;
-  void TransposeMatVecInto(const std::vector<double>& x,
-                           std::vector<double>* y) const;
-  void TransposeMatVecInto(const double* x, double* y) const;
 
   /// Untyped view of the element payload (for fingerprinting / identity
   /// checks).

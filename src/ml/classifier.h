@@ -9,17 +9,6 @@
 
 namespace omnifair {
 
-/// Learning-rate schedule for the mini-batch SGD paths (batch_size > 0 in the
-/// LR / MLP trainer options). Full-batch training ignores it.
-enum class LrSchedule {
-  /// step = learning_rate for every batch.
-  kConstant,
-  /// step = learning_rate / sqrt(t) where t is the global 1-based batch
-  /// counter — the classic Robbins-Monro decay that keeps late batches from
-  /// undoing converged coefficients on multi-epoch runs.
-  kInvSqrt,
-};
-
 /// A trained binary classifier h_theta. Immutable once produced by a Trainer.
 class Classifier {
  public:

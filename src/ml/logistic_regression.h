@@ -2,7 +2,6 @@
 #define OMNIFAIR_ML_LOGISTIC_REGRESSION_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,33 +14,19 @@ namespace omnifair {
 struct LogisticRegressionOptions {
   /// L2 regularization strength on the non-intercept coefficients.
   double l2 = 1e-4;
-  /// Maximum full-batch gradient iterations.
-  int max_iterations = 300;
+  /// Maximum Newton iterations per fit (scikit-learn's max_iter default).
+  /// Each iteration is one pass over the rows; a rejected step counts too.
+  int max_iterations = 100;
   /// Convergence threshold on the gradient's infinity norm. The default
   /// matches scikit-learn's working precision: accuracy stops changing well
   /// before 1e-4, and a reachable threshold is what lets warm starts
   /// (initializing near the optimum) actually save iterations.
   double tolerance = 1e-4;
-  /// Initial learning rate for backtracking line search.
-  double learning_rate = 1.0;
   /// Divergence recovery (DESIGN.md §8): when the loss or gradient goes
   /// non-finite, training rolls back to the last finite checkpoint with a
-  /// halved learning rate, at most this many times before giving up and
+  /// halved Newton step, at most this many times before giving up and
   /// returning the checkpoint model.
   int max_divergence_retries = 3;
-  /// Mini-batch SGD (DESIGN.md §16): 0 keeps the exact full-batch path above
-  /// (bit-identical to the default trainer); any positive value switches to
-  /// weighted SGD over contiguous batches of this many rows, visited in a
-  /// deterministic per-epoch shuffle drawn from `shuffle_seed`. Updates are
-  /// applied serially, so results are bit-reproducible at any thread count.
-  size_t batch_size = 0;
-  /// Epochs (full passes over the data) for the mini-batch path; the
-  /// full-batch path uses max_iterations instead.
-  int epochs = 5;
-  /// Per-batch step-size decay for the mini-batch path.
-  LrSchedule lr_schedule = LrSchedule::kConstant;
-  /// Seed for the per-epoch batch-order shuffle.
-  uint64_t shuffle_seed = 17;
 };
 
 /// A trained logistic regression model: p(y=1|x) = sigmoid(w.x + b).
@@ -60,11 +45,15 @@ class LogisticRegressionModel : public Classifier {
   double intercept_;
 };
 
-/// Weighted logistic regression trained by full-batch gradient descent with
-/// Nesterov momentum and backtracking line search. Supports warm starts:
-/// when enabled, each Fit initializes from the previous solution, which is
-/// the Table 6 optimization in the paper (1.2-3.4x speedups when Algorithm 1
-/// retrains across nearby lambda values).
+/// Weighted logistic regression trained by damped Newton's method — the
+/// second-order solver family of scikit-learn's LogisticRegression, which
+/// the paper runs on. Each iteration is one serial pass over X that
+/// accumulates the weighted loss, gradient and (d+1)² Hessian on the simd
+/// kernels; a Cholesky solve gives the step, which is halved only when the
+/// full step raises the loss. Supports warm starts: when enabled, each Fit
+/// starts Newton from the previous solution, which is the Table 6
+/// optimization in the paper (1.2-3.4x speedups when Algorithm 1 retrains
+/// across nearby lambda values).
 class LogisticRegressionTrainer : public Trainer {
  public:
   explicit LogisticRegressionTrainer(LogisticRegressionOptions options = {});
@@ -81,17 +70,11 @@ class LogisticRegressionTrainer : public Trainer {
   void SetWarmStart(bool enabled) override { warm_start_ = enabled; }
   void ResetWarmStart() override { warm_theta_.clear(); }
 
-  /// Total gradient-descent iterations across all Fit calls (for the warm
-  /// start speedup accounting in bench_table6).
+  /// Total Newton iterations across all Fit calls (for the warm start
+  /// speedup accounting in bench_table6).
   long long total_iterations() const { return total_iterations_; }
 
  private:
-  /// Weighted mini-batch SGD path (options_.batch_size > 0); same divergence
-  /// rollback/backoff semantics as the full-batch loop.
-  std::unique_ptr<Classifier> FitMiniBatch(const Matrix& X,
-                                           const std::vector<int>& y,
-                                           const std::vector<double>& weights);
-
   LogisticRegressionOptions options_;
   bool warm_start_ = false;
   std::vector<double> warm_theta_;  // coefficients + intercept (last slot)

@@ -44,19 +44,17 @@ std::unique_ptr<Classifier> ModelFromParams(const std::vector<double>& params,
       std::vector<double>(w2, w2 + h), w2[h]);
 }
 
-/// Forward/backward over rows [begin, end) at parameters `v`, accumulating
+/// Forward/backward over all rows at parameters `v`, accumulating
 /// unnormalized gradient sums into `g`; returns the unnormalized weighted
 /// loss sum. `hidden` / `relu_active` are caller-owned scratch of size h.
-/// Shared verbatim by the full-batch loop (called with the whole row range)
-/// and the mini-batch loop, so both see identical per-row arithmetic.
 double AccumulateLossGrad(const Matrix& X, const std::vector<int>& y,
                           const std::vector<double>& weights, const Views& v,
-                          const Views& g, size_t begin, size_t end, size_t d,
-                          size_t h, std::vector<double>& hidden,
+                          const Views& g, size_t d, size_t h,
+                          std::vector<double>& hidden,
                           std::vector<double>& relu_active) {
   const simd::Kernels& kernels = simd::Active();
   double loss = 0.0;
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < X.rows(); ++i) {
     // Forward/backward dots and the gradient rank-1 update run on the simd
     // kernels; float32 feature rows widen per lane against the double
     // parameters, so accumulators stay double.
@@ -153,10 +151,6 @@ std::unique_ptr<Classifier> MlpTrainer::Fit(const Matrix& X, const std::vector<i
     for (size_t j = 0; j < h; ++j) v.w2[j] = rng.NextGaussian(0.0, out_scale);
   }
 
-  if (options_.batch_size > 0) {
-    return FitMiniBatch(X, y, weights, std::move(params));
-  }
-
   std::vector<double> grad(p, 0.0);
   std::vector<double> m(p, 0.0);
   std::vector<double> vv(p, 0.0);
@@ -178,8 +172,8 @@ std::unique_ptr<Classifier> MlpTrainer::Fit(const Matrix& X, const std::vector<i
     Views v = MakeViews(params, d, h);
     std::fill(grad.begin(), grad.end(), 0.0);
     Views g = MakeViews(grad, d, h);
-    const double loss_sum = AccumulateLossGrad(X, y, weights, v, g, 0, n, d, h,
-                                               hidden, relu_active);
+    const double loss_sum =
+        AccumulateLossGrad(X, y, weights, v, g, d, h, hidden, relu_active);
     const double inv_n = 1.0 / static_cast<double>(n);
     double loss = loss_sum;
     loss *= inv_n;
@@ -233,116 +227,6 @@ std::unique_ptr<Classifier> MlpTrainer::Fit(const Matrix& X, const std::vector<i
                    [](double value) { return std::isfinite(value); })) {
     CountRecoveryEvent(RecoveryEvent::kDivergenceBackoff);
     OF_LOG(Warning) << "mlp: non-finite parameters after training; "
-                       "returning last checkpoint";
-    params = checkpoint;
-  }
-
-  if (warm_start_) warm_params_ = params;
-
-  return ModelFromParams(params, d, h);
-}
-
-std::unique_ptr<Classifier> MlpTrainer::FitMiniBatch(
-    const Matrix& X, const std::vector<int>& y, const std::vector<double>& weights,
-    std::vector<double> params) {
-  const size_t n = X.rows();
-  const size_t d = X.cols();
-  const size_t h = static_cast<size_t>(options_.hidden_units);
-  const size_t p = ParamCount(d, h);
-  const size_t batch = std::min(options_.batch_size, n);
-  const size_t num_batches = batch > 0 ? (n + batch - 1) / batch : 0;
-  if (num_batches == 0) {
-    // Degenerate empty input: return the untrained initialization.
-    return ModelFromParams(params, d, h);
-  }
-
-  std::vector<double> grad(p, 0.0);
-  std::vector<double> m(p, 0.0);
-  std::vector<double> vv(p, 0.0);
-  std::vector<double> hidden(h);
-  std::vector<double> relu_active(h);
-  const double beta1 = 0.9;
-  const double beta2 = 0.999;
-  const double adam_eps = 1e-8;
-  // Independent shuffle stream forked off the init seed: batch order is a
-  // function of (seed, epoch) alone, never of thread count.
-  Rng shuffle_rng = Rng(options_.seed).Fork();
-
-  // Same recovery contract as the full-batch loop (DESIGN.md §8), at epoch
-  // granularity: rollback to the last finite-loss parameters, reset the Adam
-  // moments, halve the learning rate.
-  std::vector<double> checkpoint = params;
-  double learning_rate = options_.learning_rate;
-  int retries = 0;
-  double previous_loss = std::numeric_limits<double>::infinity();
-  long long t = 0;  // global batch counter: Adam bias correction + kInvSqrt
-
-  for (int epoch = 1; epoch <= options_.epochs; ++epoch) {
-    Views v = MakeViews(params, d, h);
-    Views g = MakeViews(grad, d, h);
-    const std::vector<size_t> order = shuffle_rng.Permutation(num_batches);
-    double epoch_loss = 0.0;
-    for (size_t b : order) {
-      const size_t begin = b * batch;
-      const size_t end = std::min(n, begin + batch);
-      std::fill(grad.begin(), grad.end(), 0.0);
-      epoch_loss += AccumulateLossGrad(X, y, weights, v, g, begin, end, d, h,
-                                       hidden, relu_active);
-      ++t;
-      const double inv_rows = 1.0 / static_cast<double>(end - begin);
-      for (size_t k = 0; k < p; ++k) {
-        grad[k] = grad[k] * inv_rows + options_.l2 * params[k];
-      }
-      double step = learning_rate;
-      if (options_.lr_schedule == LrSchedule::kInvSqrt) {
-        step /= std::sqrt(static_cast<double>(t));
-      }
-      const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
-      const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
-      for (size_t k = 0; k < p; ++k) {
-        m[k] = beta1 * m[k] + (1.0 - beta1) * grad[k];
-        vv[k] = beta2 * vv[k] + (1.0 - beta2) * grad[k] * grad[k];
-        params[k] -= step * (m[k] / bc1) / (std::sqrt(vv[k] / bc2) + adam_eps);
-      }
-    }
-    OF_COUNTER_ADD("sgd.batches", static_cast<long long>(order.size()));
-    OF_COUNTER_INC("sgd.epochs");
-    epoch_loss /= static_cast<double>(n);
-
-    const bool diverged = !std::isfinite(epoch_loss) ||
-                          FaultInjector::ShouldFail(fault_sites::kMlpEpoch);
-    if (diverged) {
-      if (retries >= options_.max_divergence_retries) {
-        OF_LOG(Warning) << "mlp (sgd): divergence persisted after " << retries
-                        << " retries; returning last checkpoint";
-        params = checkpoint;
-        break;
-      }
-      ++retries;
-      CountRecoveryEvent(RecoveryEvent::kDivergenceBackoff);
-      OF_LOG(Warning) << "mlp (sgd): non-finite epoch loss at epoch " << epoch
-                      << "; backing off (retry " << retries << ")";
-      params = checkpoint;
-      std::fill(m.begin(), m.end(), 0.0);
-      std::fill(vv.begin(), vv.end(), 0.0);
-      learning_rate *= 0.5;
-      previous_loss = std::numeric_limits<double>::infinity();
-      continue;
-    }
-    checkpoint = params;
-    if (std::fabs(previous_loss - epoch_loss) <
-        options_.tolerance * std::max(1.0, std::fabs(previous_loss))) {
-      break;
-    }
-    previous_loss = epoch_loss;
-  }
-
-  // The last batch of a finite epoch can still push a parameter out of range;
-  // fall back to the checkpoint then, exactly like the full-batch path.
-  if (!std::all_of(params.begin(), params.end(),
-                   [](double value) { return std::isfinite(value); })) {
-    CountRecoveryEvent(RecoveryEvent::kDivergenceBackoff);
-    OF_LOG(Warning) << "mlp (sgd): non-finite parameters after training; "
                        "returning last checkpoint";
     params = checkpoint;
   }

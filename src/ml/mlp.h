@@ -24,17 +24,6 @@ struct MlpOptions {
   /// reset and the learning rate halves, at most this many times before the
   /// checkpoint model is returned as-is.
   int max_divergence_retries = 3;
-  /// Mini-batch Adam (DESIGN.md §16): 0 keeps the exact full-batch path
-  /// (bit-identical to the default trainer); any positive value switches to
-  /// weighted mini-batch Adam over contiguous batches of this many rows in a
-  /// deterministic per-epoch shuffle forked from `seed`. Updates are applied
-  /// serially, so results are bit-reproducible at any thread count.
-  size_t batch_size = 0;
-  /// Epochs (full passes over the data) for the mini-batch path; the
-  /// full-batch path uses max_epochs instead.
-  int epochs = 5;
-  /// Per-batch step-size decay for the mini-batch path.
-  LrSchedule lr_schedule = LrSchedule::kConstant;
 };
 
 /// A trained one-hidden-layer MLP: p = sigmoid(w2 . relu(W1 x + b1) + b2).
@@ -84,14 +73,6 @@ class MlpTrainer : public Trainer {
   void ResetWarmStart() override { warm_params_.clear(); }
 
  private:
-  /// Weighted mini-batch Adam path (options_.batch_size > 0); same divergence
-  /// rollback/backoff semantics as the full-batch loop, with the Adam bias
-  /// correction driven by the global batch counter instead of the epoch.
-  std::unique_ptr<Classifier> FitMiniBatch(const Matrix& X,
-                                           const std::vector<int>& y,
-                                           const std::vector<double>& weights,
-                                           std::vector<double> params);
-
   MlpOptions options_;
   bool warm_start_ = false;
   std::vector<double> warm_params_;  // flat parameter vector

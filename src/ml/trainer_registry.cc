@@ -11,17 +11,8 @@
 namespace omnifair {
 
 std::unique_ptr<Trainer> MakeTrainer(const std::string& name, uint64_t seed) {
-  return MakeTrainer(name, seed, TrainerOverrides{});
-}
-
-std::unique_ptr<Trainer> MakeTrainer(const std::string& name, uint64_t seed,
-                                     const TrainerOverrides& overrides) {
   if (name == "lr") {
-    LogisticRegressionOptions options;
-    options.batch_size = overrides.batch_size;
-    if (overrides.epochs > 0) options.epochs = overrides.epochs;
-    options.lr_schedule = overrides.lr_schedule;
-    return std::make_unique<LogisticRegressionTrainer>(options);
+    return std::make_unique<LogisticRegressionTrainer>();
   }
   if (name == "dt" || name == "dt_hist") {
     DecisionTreeOptions options;
@@ -43,9 +34,6 @@ std::unique_ptr<Trainer> MakeTrainer(const std::string& name, uint64_t seed,
   if (name == "nn") {
     MlpOptions options;
     options.seed = seed;
-    options.batch_size = overrides.batch_size;
-    if (overrides.epochs > 0) options.epochs = overrides.epochs;
-    options.lr_schedule = overrides.lr_schedule;
     return std::make_unique<MlpTrainer>(options);
   }
   OF_CHECK(false) << "unknown trainer name: " << name;

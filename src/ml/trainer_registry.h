@@ -1,6 +1,7 @@
 #ifndef OMNIFAIR_ML_TRAINER_REGISTRY_H_
 #define OMNIFAIR_ML_TRAINER_REGISTRY_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,7 +10,11 @@
 
 namespace omnifair {
 
-/// Creates a trainer by short name, with per-experiment seed:
+/// Creates a trainer by short name with its family's default options. The
+/// per-experiment seed drives the randomized families (dt, rf, nn); lr, xgb
+/// and nb are deterministic and ignore it. There are no per-call overrides:
+/// callers that need other hyperparameters construct the trainer directly
+/// from its options struct.
 ///   "lr"  -> LogisticRegressionTrainer
 ///   "dt"  -> DecisionTreeTrainer
 ///   "rf"  -> RandomForestTrainer
@@ -22,18 +27,6 @@ namespace omnifair {
 /// Aborts on unknown names (programmer error); callers holding user input
 /// check it against TrainerNames() first.
 std::unique_ptr<Trainer> MakeTrainer(const std::string& name, uint64_t seed = 42);
-
-/// Optional hyperparameter overrides applied on top of a family's defaults.
-/// Zero values mean "keep the default". batch_size/epochs/lr_schedule only
-/// affect the SGD families (lr, nn); other families ignore them.
-struct TrainerOverrides {
-  size_t batch_size = 0;  ///< > 0 switches lr/nn to mini-batch SGD
-  int epochs = 0;         ///< mini-batch epochs (0 = family default)
-  LrSchedule lr_schedule = LrSchedule::kConstant;
-};
-
-std::unique_ptr<Trainer> MakeTrainer(const std::string& name, uint64_t seed,
-                                     const TrainerOverrides& overrides);
 
 /// Every name MakeTrainer accepts, aliases included.
 std::vector<std::string> TrainerNames();

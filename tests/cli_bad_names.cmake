@@ -51,3 +51,31 @@ expect_usage_error("train --stream --out" "--out is not supported with --stream"
 if(EXISTS ${data}.ofcd)
   message(FATAL_ERROR "train --stream --out ingested ${data}.ofcd before failing")
 endif()
+# The mini-batch SGD knobs belong to the streaming tuner; in memory every
+# model trains on its own full-data solver, so they are refused there.
+foreach(command train explain)
+  expect_usage_error("${command} --batch-size" "only supported with --stream"
+                     ${command} ${common} --batch-size 64)
+  expect_usage_error("${command} --epochs" "only supported with --stream"
+                     ${command} ${common} --epochs 2)
+  expect_usage_error("${command} --lr-schedule" "only supported with --stream"
+                     ${command} ${common} --lr-schedule invsqrt)
+endforeach()
+# On --stream each value is checked before ingest, never silently replaced.
+expect_usage_error("train --stream --lr-schedule bogus"
+                   "unknown --lr-schedule 'bogus' (accepted: constant, invsqrt)"
+                   train ${common} --stream --lr-schedule bogus)
+expect_usage_error("train --stream --batch-size 0"
+                   "--batch-size must be a positive integer"
+                   train ${common} --stream --batch-size 0)
+expect_usage_error("train --stream --batch-size -5"
+                   "--batch-size must be a positive integer"
+                   train ${common} --stream --batch-size -5)
+expect_usage_error("train --stream --epochs 0" "--epochs must be a positive integer"
+                   train ${common} --stream --epochs 0)
+expect_usage_error("explain --stream --epochs -1"
+                   "--epochs must be a positive integer"
+                   explain ${common} --stream --epochs -1)
+if(EXISTS ${data}.ofcd)
+  message(FATAL_ERROR "a rejected --stream value ingested ${data}.ofcd")
+endif()

@@ -1,12 +1,12 @@
 #include "ml/logistic_regression.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "ml/metrics.h"
 #include "tests/testing_data.h"
-#include "util/fault_injector.h"
 #include "util/random.h"
 
 namespace omnifair {
@@ -136,93 +136,113 @@ TEST(LogisticRegressionTest, WeightingEquivalentToReplication) {
   EXPECT_EQ(weighted->Predict(blobs.X), replicated->Predict(blobs.X));
 }
 
-TEST(LogisticRegressionSgdTest, BatchSizeZeroIsBitIdenticalToFullBatch) {
-  // batch_size = 0 must keep the exact full-batch path: not just the same
-  // predictions, the same bits.
-  const Blobs blobs = MakeBlobs(300, 1.5, 9);
-  LogisticRegressionOptions zero_batch;
-  zero_batch.batch_size = 0;
-  LogisticRegressionTrainer a;                  // seed defaults
-  LogisticRegressionTrainer b(zero_batch);
-  const auto ma = a.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  const auto mb = b.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  const auto& ca = static_cast<const LogisticRegressionModel&>(*ma);
-  const auto& cb = static_cast<const LogisticRegressionModel&>(*mb);
-  ASSERT_EQ(ca.coefficients().size(), cb.coefficients().size());
-  for (size_t i = 0; i < ca.coefficients().size(); ++i) {
-    EXPECT_EQ(ca.coefficients()[i], cb.coefficients()[i]);
+/// Infinity norm of the objective's gradient at the model's theta, recomputed
+/// here in plain double arithmetic over the stored (float) features.
+double GradientInfNorm(const LogisticRegressionModel& model, const Matrix& X,
+                       const std::vector<int>& y,
+                       const std::vector<double>& weights, double l2) {
+  const size_t n = X.rows();
+  const size_t d = X.cols();
+  std::vector<double> grad(d + 1, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    double z = model.intercept();
+    for (size_t c = 0; c < d; ++c) z += model.coefficients()[c] * X(i, c);
+    const double residual =
+        weights[i] * (1.0 / (1.0 + std::exp(-z)) - (y[i] == 1 ? 1.0 : 0.0));
+    for (size_t c = 0; c < d; ++c) grad[c] += residual * X(i, c);
+    grad[d] += residual;
   }
-  EXPECT_EQ(ca.intercept(), cb.intercept());
-}
-
-TEST(LogisticRegressionSgdTest, MiniBatchLearnsSeparableData) {
-  const Blobs blobs = MakeBlobs(500, 2.0, 10);
-  LogisticRegressionOptions options;
-  options.batch_size = 32;
-  options.epochs = 20;
-  options.lr_schedule = LrSchedule::kInvSqrt;
-  LogisticRegressionTrainer trainer(options);
-  const auto model = trainer.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  EXPECT_GE(TrainAccuracy(*model, blobs), 0.95);
-}
-
-TEST(LogisticRegressionSgdTest, MiniBatchDeterministic) {
-  const Blobs blobs = MakeBlobs(300, 1.0, 11);
-  LogisticRegressionOptions options;
-  options.batch_size = 64;
-  options.epochs = 5;
-  LogisticRegressionTrainer a(options);
-  LogisticRegressionTrainer b(options);
-  const auto ma = a.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  const auto mb = b.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  const auto& ca = static_cast<const LogisticRegressionModel&>(*ma);
-  const auto& cb = static_cast<const LogisticRegressionModel&>(*mb);
-  ASSERT_EQ(ca.coefficients().size(), cb.coefficients().size());
-  for (size_t i = 0; i < ca.coefficients().size(); ++i) {
-    EXPECT_EQ(ca.coefficients()[i], cb.coefficients()[i]);
+  double norm = 0.0;
+  for (size_t c = 0; c <= d; ++c) {
+    grad[c] /= static_cast<double>(n);
+    if (c < d) grad[c] += l2 * model.coefficients()[c];
+    norm = std::max(norm, std::fabs(grad[c]));
   }
-  EXPECT_EQ(ca.intercept(), cb.intercept());
+  return norm;
 }
 
-TEST(LogisticRegressionSgdTest, MiniBatchZeroWeightExamplesIgnored) {
-  Blobs blobs = MakeBlobs(400, 2.5, 12);
-  std::vector<double> weights(blobs.y.size(), 1.0);
-  Blobs corrupted = blobs;
-  for (size_t i = 0; i < blobs.y.size(); i += 2) {
-    corrupted.y[i] = 1 - corrupted.y[i];
-    weights[i] = 0.0;
+/// Overlapping classes in `d` dimensions with a logistic label, so the
+/// optimum is interior and every coefficient carries curvature.
+Blobs MakeWideData(size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Blobs data;
+  data.X = Matrix(n, d);
+  data.y.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    double z = 0.3;
+    for (size_t c = 0; c < d; ++c) {
+      const double x = rng.NextGaussian(0.0, 1.0 + 0.2 * static_cast<double>(c));
+      data.X.Set(i, c, x);
+      z += (c % 2 == 0 ? 0.5 : -0.3) * x;
+    }
+    data.y[i] = rng.NextBernoulli(1.0 / (1.0 + std::exp(-z))) ? 1 : 0;
+  }
+  data.unit_weights.assign(n, 1.0);
+  return data;
+}
+
+/// Eq. 12-style weights max(0, 1 + lambda * s_i): two groups, label-signed
+/// coefficients, and a lambda large enough that a share of rows clips to 0.
+std::vector<double> LambdaStyleWeights(const std::vector<int>& y) {
+  std::vector<double> weights(y.size());
+  for (size_t i = 0; i < y.size(); ++i) {
+    const double s = (i % 3 == 0 ? 1.5 : -0.5) * (y[i] == 1 ? 1.0 : -1.0);
+    weights[i] = std::max(0.0, 1.0 + 2.5 * s);
+  }
+  return weights;
+}
+
+TEST(LogisticRegressionTest, NewtonStopsAtAStationaryPoint) {
+  // The fit ends only when the gradient's infinity norm is below tolerance,
+  // so the returned theta must be a stationary point of the weighted
+  // objective, including when some rows carry zero weight.
+  const LogisticRegressionOptions options;
+  for (const Blobs& data : {MakeBlobs(400, 1.0, 12), MakeWideData(2000, 12, 13)}) {
+    const std::vector<double> lambda_weights = LambdaStyleWeights(data.y);
+    ASSERT_GT(std::count(lambda_weights.begin(), lambda_weights.end(), 0.0), 0);
+    for (const std::vector<double>* weights : {&data.unit_weights, &lambda_weights}) {
+      LogisticRegressionTrainer trainer(options);
+      const auto model = trainer.Fit(data.X, data.y, *weights);
+      const auto& lr = static_cast<const LogisticRegressionModel&>(*model);
+      EXPECT_LE(GradientInfNorm(lr, data.X, data.y, *weights, options.l2),
+                options.tolerance)
+          << "d=" << data.X.cols() << " unit=" << (weights == &data.unit_weights);
+      // Newton converges in a handful of steps, far below the cap.
+      EXPECT_LE(trainer.total_iterations(), 20) << "d=" << data.X.cols();
+    }
+  }
+}
+
+TEST(LogisticRegressionTest, SingularOrIndefiniteHessianStaysFinite) {
+  // With l2 = 0 the Hessian pins no curvature on separable data (the optimum
+  // is at infinity), on an all-zero column, on a duplicated column, or when
+  // every weight is zero. The diagonal jitter keeps each Cholesky solve
+  // defined. Negative weights, outside the Trainer contract, make it
+  // indefinite; the fit then stops at its checkpoint. Either way it must
+  // return finite coefficients, not abort.
+  const Blobs blobs = MakeBlobs(200, 6.0, 14);
+  Matrix X(blobs.X.rows(), 4);
+  for (size_t i = 0; i < X.rows(); ++i) {
+    X.Set(i, 0, blobs.X(i, 0));
+    X.Set(i, 1, blobs.X(i, 1));
+    X.Set(i, 2, 0.0);              // all-zero column
+    X.Set(i, 3, blobs.X(i, 0));    // duplicate of column 0
   }
   LogisticRegressionOptions options;
-  options.batch_size = 50;
-  options.epochs = 20;
-  LogisticRegressionTrainer trainer(options);
-  const auto model = trainer.Fit(corrupted.X, corrupted.y, weights);
-  EXPECT_GE(TrainAccuracy(*model, blobs), 0.93);
-}
-
-TEST(LogisticRegressionSgdTest, MiniBatchBacksOffOnInjectedDivergence) {
-  FaultInjector::Reset();
-  const Blobs blobs = MakeBlobs(300, 2.0, 13);
-  LogisticRegressionOptions options;
-  options.batch_size = 32;
-  options.epochs = 12;
-  LogisticRegressionTrainer trainer(options);
-  // One injected divergence: the epoch rolls back, halves the step, and the
-  // fit still converges to a good model.
-  FaultInjector::Arm(fault_sites::kLrDescend);
-  const auto model = trainer.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  FaultInjector::Reset();
-  EXPECT_GE(TrainAccuracy(*model, blobs), 0.93);
-
-  // Persistent divergence: retries run out; the returned checkpoint model
-  // must still be finite.
-  FaultInjector::Arm(fault_sites::kLrDescend, 1, /*repeat=*/true);
-  LogisticRegressionTrainer doomed(options);
-  const auto checkpoint = doomed.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  FaultInjector::Reset();
-  const auto& cm = static_cast<const LogisticRegressionModel&>(*checkpoint);
-  for (double c : cm.coefficients()) EXPECT_TRUE(std::isfinite(c));
-  EXPECT_TRUE(std::isfinite(cm.intercept()));
+  options.l2 = 0.0;
+  const std::vector<double> zeros(blobs.y.size(), 0.0);
+  const std::vector<double> negative(blobs.y.size(), -1.0);
+  for (const std::vector<double>* weights :
+       {&blobs.unit_weights, &zeros, &negative}) {
+    LogisticRegressionTrainer trainer(options);
+    const auto model = trainer.Fit(X, blobs.y, *weights);
+    const auto& lr = static_cast<const LogisticRegressionModel&>(*model);
+    for (double c : lr.coefficients()) EXPECT_TRUE(std::isfinite(c)) << c;
+    EXPECT_TRUE(std::isfinite(lr.intercept()));
+    if (weights == &blobs.unit_weights) {
+      EXPECT_EQ(Accuracy(blobs.y, model->Predict(X)), 1.0);
+    }
+  }
 }
 
 TEST(LogisticRegressionModelTest, CoefficientsExposed) {

@@ -84,14 +84,6 @@ TEST(MatrixTest, MatVec) {
   EXPECT_DOUBLE_EQ(y[1], 7.0);
 }
 
-TEST(MatrixTest, TransposeMatVec) {
-  Matrix m = {{1.0, 2.0}, {3.0, 4.0}};
-  const std::vector<double> y = m.TransposeMatVec({1.0, 1.0});
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_DOUBLE_EQ(y[0], 4.0);
-  EXPECT_DOUBLE_EQ(y[1], 6.0);
-}
-
 TEST(MatrixTest, MatVecIntoMatchesMatVec) {
   Matrix m = {{1.0, -2.0, 0.5}, {3.0, 4.0, -1.0}};
   const std::vector<double> x = {2.0, 0.1, -0.4};
@@ -102,19 +94,6 @@ TEST(MatrixTest, MatVecIntoMatchesMatVec) {
   std::vector<double> raw(m.rows(), -99.0);
   m.MatVecInto(x.data(), raw.data());
   EXPECT_EQ(raw, expected);
-}
-
-TEST(MatrixTest, TransposeMatVecIntoMatchesTransposeMatVec) {
-  Matrix m = {{1.0, -2.0, 0.5}, {3.0, 4.0, -1.0}};
-  const std::vector<double> x = {0.7, -1.3};
-  const std::vector<double> expected = m.TransposeMatVec(x);
-  std::vector<double> y;
-  m.TransposeMatVecInto(x, &y);
-  ASSERT_EQ(y.size(), expected.size());
-  for (size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], expected[i], 1e-12);
-  std::vector<double> raw(m.cols(), 5.0);
-  m.TransposeMatVecInto(x.data(), raw.data());
-  for (size_t i = 0; i < raw.size(); ++i) EXPECT_NEAR(raw[i], expected[i], 1e-12);
 }
 
 TEST(MatrixTest, WritesNarrowToFloatOnce) {
@@ -150,7 +129,7 @@ TEST(MatrixTest, RawBytesAreFourPerElement) {
 }
 
 TEST(MatrixTest, ProductsMatchDoubleReferenceOnStoredValues) {
-  // Values that float32 rounds: the products must equal double arithmetic
+  // Values that float32 rounds: the product must equal double arithmetic
   // over the widened stored elements, not over the unrounded inputs.
   Matrix m = {{0.1, -2.3, 0.7}, {3.3, 4.1, -1.9}, {0.25, 0.6, 2.2}};
   const std::vector<double> x = {0.7, -1.3, 0.2};
@@ -162,33 +141,11 @@ TEST(MatrixTest, ProductsMatchDoubleReferenceOnStoredValues) {
     for (size_t c = 0; c < 3; ++c) expected += m(r, c) * x[c];
     EXPECT_NEAR(y[r], expected, 1e-12);
   }
-  const std::vector<double> w = {1.0, 0.5, -0.25};
-  const std::vector<double> t = m.TransposeMatVec(w);
-  ASSERT_EQ(t.size(), 3u);
-  for (size_t c = 0; c < 3; ++c) {
-    double expected = 0.0;
-    for (size_t r = 0; r < 3; ++r) expected += w[r] * m(r, c);
-    EXPECT_NEAR(t[c], expected, 1e-12);
-  }
 }
 
 TEST(MatrixDeathTest, ShapeOverflowDiesInsteadOfWrapping) {
   const size_t huge = (std::numeric_limits<size_t>::max() / 2) + 2;
   EXPECT_DEATH({ Matrix m(huge, 2); }, "overflows");
-}
-
-TEST(MatrixTest, MatVecTransposeConsistency) {
-  // x^T (A y) == (A^T x)^T y for random-ish fixed values.
-  Matrix a = {{1.0, -2.0, 0.5}, {3.0, 4.0, -1.0}};
-  const std::vector<double> x = {0.7, -1.3};
-  const std::vector<double> y = {2.0, 0.1, -0.4};
-  const std::vector<double> ay = a.MatVec(y);
-  const std::vector<double> atx = a.TransposeMatVec(x);
-  double lhs = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) lhs += x[i] * ay[i];
-  double rhs = 0.0;
-  for (size_t i = 0; i < y.size(); ++i) rhs += atx[i] * y[i];
-  EXPECT_NEAR(lhs, rhs, 1e-12);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "tests/testing_data.h"
-#include "util/fault_injector.h"
 
 namespace omnifair {
 namespace {
@@ -73,74 +72,6 @@ TEST(MlpTest, WarmStartContinuesFromPreviousFit) {
   MlpTrainer cold(options);
   const auto cold_model = cold.Fit(xor_data.X, xor_data.y, xor_data.unit_weights);
   EXPECT_GE(current, TrainAccuracy(*cold_model, xor_data));
-}
-
-TEST(MlpSgdTest, BatchSizeZeroIsBitIdenticalToFullBatch) {
-  const Blobs blobs = MakeBlobs(300, 1.5, 7);
-  MlpOptions zero_batch;
-  zero_batch.batch_size = 0;
-  MlpTrainer a;
-  MlpTrainer b(zero_batch);
-  const auto ma = a.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  const auto mb = b.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  const auto& na = static_cast<const MlpModel&>(*ma);
-  const auto& nb = static_cast<const MlpModel&>(*mb);
-  ASSERT_EQ(na.w2().size(), nb.w2().size());
-  for (size_t i = 0; i < na.w2().size(); ++i) {
-    EXPECT_EQ(na.w2()[i], nb.w2()[i]);
-  }
-  EXPECT_EQ(na.b2(), nb.b2());
-  EXPECT_EQ(na.W1(), nb.W1());
-}
-
-TEST(MlpSgdTest, MiniBatchLearnsSeparableData) {
-  const Blobs blobs = MakeBlobs(500, 2.0, 8);
-  MlpOptions options;
-  options.batch_size = 64;
-  options.epochs = 40;
-  MlpTrainer trainer(options);
-  const auto model = trainer.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  EXPECT_GE(TrainAccuracy(*model, blobs), 0.93);
-}
-
-TEST(MlpSgdTest, MiniBatchDeterministic) {
-  const Blobs blobs = MakeBlobs(300, 1.0, 9);
-  MlpOptions options;
-  options.batch_size = 32;
-  options.epochs = 10;
-  options.lr_schedule = LrSchedule::kInvSqrt;
-  MlpTrainer a(options);
-  MlpTrainer b(options);
-  const auto ma = a.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  const auto mb = b.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  const auto& na = static_cast<const MlpModel&>(*ma);
-  const auto& nb = static_cast<const MlpModel&>(*mb);
-  ASSERT_EQ(na.w2().size(), nb.w2().size());
-  for (size_t i = 0; i < na.w2().size(); ++i) {
-    EXPECT_EQ(na.w2()[i], nb.w2()[i]);
-  }
-  EXPECT_EQ(na.b2(), nb.b2());
-}
-
-TEST(MlpSgdTest, MiniBatchBacksOffOnInjectedDivergence) {
-  FaultInjector::Reset();
-  const Blobs blobs = MakeBlobs(300, 2.0, 10);
-  MlpOptions options;
-  options.batch_size = 32;
-  options.epochs = 30;
-  MlpTrainer trainer(options);
-  FaultInjector::Arm(fault_sites::kMlpEpoch);
-  const auto model = trainer.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  FaultInjector::Reset();
-  EXPECT_GE(TrainAccuracy(*model, blobs), 0.90);
-
-  FaultInjector::Arm(fault_sites::kMlpEpoch, 1, /*repeat=*/true);
-  MlpTrainer doomed(options);
-  const auto checkpoint = doomed.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  FaultInjector::Reset();
-  const auto& nm = static_cast<const MlpModel&>(*checkpoint);
-  for (double v : nm.w2()) EXPECT_TRUE(std::isfinite(v));
-  EXPECT_TRUE(std::isfinite(nm.b2()));
 }
 
 TEST(MlpTest, UpweightingShiftsPositiveRate) {

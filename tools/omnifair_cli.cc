@@ -25,8 +25,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/omnifair.h"
@@ -102,10 +104,10 @@ int Usage() {
                "        block-by-block: 10M+ rows without holding them in RAM)\n"
                "  train --data data.csv --label COLUMN --sensitive COLUMN\n"
                "        [--metric sp] [--epsilon 0.05] [--model lr] [--seed S]\n"
-               "        [--batch-size N] [--epochs N] [--lr-schedule constant|invsqrt]\n"
-               "        (mini-batch SGD for lr/nn; batch-size 0 = full batch)\n"
                "        [--stream]   (out-of-core: --data is a .ofcd chunked file,\n"
                "        or a CSV ingested to <data>.ofcd first; lr + sp/mr/fpr/fnr)\n"
+               "        [--batch-size N>0] [--epochs N>0]\n"
+               "        [--lr-schedule constant|invsqrt]   (--stream SGD only)\n"
                "        [--positive-label VALUE] [--out model.ofb]   (not with --stream)\n"
                "        [--checkpoint ckpt.bin] [--checkpoint-interval SECONDS]\n"
                "        [--resume [ckpt.bin]]   (resume a killed tuning run)\n"
@@ -246,11 +248,27 @@ int RunStreamTrain(const Args& args, bool explain) {
   }
   tune.epsilon = args.GetDouble("epsilon", 0.05);
   const long batch = args.GetLong("batch-size", 4096);
-  if (batch > 0) tune.batch_size = static_cast<size_t>(batch);
-  tune.epochs = static_cast<int>(args.GetLong("epochs", 3));
+  const long epochs = args.GetLong("epochs", 3);
+  for (const auto& [flag, value] : {std::pair{"batch-size", batch},
+                                    std::pair{"epochs", epochs}}) {
+    if (value <= 0 || value > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "error: --%s must be a positive integer, got %ld\n",
+                   flag, value);
+      return 2;
+    }
+  }
+  tune.batch_size = static_cast<size_t>(batch);
+  tune.epochs = static_cast<int>(epochs);
   tune.shuffle_seed = static_cast<uint64_t>(args.GetLong("seed", 42));
-  if (args.Get("lr-schedule") == "invsqrt") {
+  const std::string schedule = args.Get("lr-schedule", "constant");
+  if (schedule == "invsqrt") {
     tune.lr_schedule = LrSchedule::kInvSqrt;
+  } else if (schedule != "constant") {
+    std::fprintf(stderr,
+                 "error: unknown --lr-schedule '%s' (accepted: constant, "
+                 "invsqrt)\n",
+                 schedule.c_str());
+    return 2;
   }
 
   const bool profiling =
@@ -351,6 +369,15 @@ int RunTrain(const Args& args, bool explain) {
     return 2;
   }
   if (args.Has("stream")) return RunStreamTrain(args, explain);
+  // In memory, every model trains on its own full-data solver; the SGD knobs
+  // belong to the streaming tuner alone.
+  for (const char* flag : {"batch-size", "epochs", "lr-schedule"}) {
+    if (args.Has(flag)) {
+      std::fprintf(stderr, "error: --%s is only supported with --stream\n",
+                   flag);
+      return 2;
+    }
+  }
   if (!args.Has("data") || !args.Has("sensitive")) return Usage();
   Result<Dataset> dataset = LoadCsvDataset(args);
   if (!dataset.ok()) {
@@ -363,13 +390,7 @@ int RunTrain(const Args& args, bool explain) {
   FairnessSpec spec = MakeSpec(GroupByAttribute(args.Get("sensitive")),
                                args.Get("metric", "sp"),
                                args.GetDouble("epsilon", 0.05));
-  TrainerOverrides overrides;
-  overrides.batch_size = static_cast<size_t>(args.GetLong("batch-size", 0));
-  overrides.epochs = static_cast<int>(args.GetLong("epochs", 0));
-  if (args.Get("lr-schedule") == "invsqrt") {
-    overrides.lr_schedule = LrSchedule::kInvSqrt;
-  }
-  auto trainer = MakeTrainer(args.Get("model", "lr"), seed, overrides);
+  auto trainer = MakeTrainer(args.Get("model", "lr"), seed);
   OmniFairOptions options;
   options.checkpoint.path = args.Get("checkpoint");
   options.checkpoint.interval_s = args.GetDouble("checkpoint-interval", 0.0);
