@@ -18,135 +18,109 @@ size_t CountPrediction(const std::vector<int>& predictions,
   return count;
 }
 
-/// Statistical parity, f = P(h=1) (Example 3, Equation 8):
-/// c_i = +1/|g| when y=1, -1/|g| when y=0, c0 = |{y=0}|/|g|.
-class StatisticalParityMetric : public FairnessMetric {
+/// SP, MR, FPR and FNR: each row's coefficient depends only on its label and
+/// the group's label counts (LabelCoefficientsOf).
+class LabelCountMetric : public FairnessMetric {
  public:
-  std::string Name() const override { return "sp"; }
+  LabelCountMetric(MetricKind kind, std::string name)
+      : kind_(kind), name_(std::move(name)) {}
+
+  std::string Name() const override { return name_; }
   MetricCoefficients Coefficients(const Dataset& dataset,
                                   const std::vector<size_t>& group,
                                   const std::vector<int>*) const override {
+    const size_t negatives = CountLabel(dataset, group, 0);
+    const LabelCoefficients label_coef =
+        LabelCoefficientsOf(kind_, negatives, group.size() - negatives);
     MetricCoefficients out;
-    // Empty-group convention (DESIGN.md §8): the metric contributes 0, so
-    // the constraint is skipped instead of dividing by zero.
-    if (group.empty()) return out;
-    const double size = static_cast<double>(group.size());
     out.c.resize(group.size());
     for (size_t k = 0; k < group.size(); ++k) {
-      out.c[k] = dataset.Label(group[k]) == 1 ? 1.0 / size : -1.0 / size;
+      out.c[k] = label_coef.c[dataset.Label(group[k]) == 1 ? 1 : 0];
     }
-    out.c0 = static_cast<double>(CountLabel(dataset, group, 0)) / size;
+    out.c0 = label_coef.c0;
     return out;
   }
+
+ private:
+  MetricKind kind_;
+  std::string name_;
 };
 
-/// Misclassification rate parity expressed as accuracy (Appendix A, Eq. 25):
-/// f = P(h=y), c_i = 1/|g|, c0 = 0. Equal accuracy <=> equal MR.
-class MisclassificationRateMetric : public FairnessMetric {
+/// FOR = P(y=1 | h=0) (Appendix A, Eq. 26) and FDR = P(y=0 | h=1):
+/// prediction-parameterized. With v = 0 for FOR and v = 1 for FDR,
+/// c_i = -1/|{h=v}| for y_i=v, 0 otherwise, c0 = 1. Among y_i=v rows only
+/// those with h=v score 1(h=y)=1, so the identity recovers
+/// 1 - |{h=v, y=v}|/|{h=v}|.
+class PredictedValueRateMetric : public FairnessMetric {
  public:
-  std::string Name() const override { return "mr"; }
-  MetricCoefficients Coefficients(const Dataset&, const std::vector<size_t>& group,
-                                  const std::vector<int>*) const override {
-    MetricCoefficients out;
-    if (group.empty()) return out;  // empty-group convention: contributes 0
-    const double size = static_cast<double>(group.size());
-    out.c.assign(group.size(), 1.0 / size);
-    out.c0 = 0.0;
-    return out;
-  }
-};
+  PredictedValueRateMetric(int value, std::string name)
+      : value_(value), name_(std::move(name)) {}
 
-/// FPR = P(h=1 | y=0) = 1 - (1/|y=0|) * sum_{y_i=0} 1(h=y):
-/// c_i = -1/|{y=0}| for y_i=0, 0 otherwise, c0 = 1.
-/// (Table 2 lists the sign-flipped TNR variant; disparities coincide.)
-class FalsePositiveRateMetric : public FairnessMetric {
- public:
-  std::string Name() const override { return "fpr"; }
-  MetricCoefficients Coefficients(const Dataset& dataset,
-                                  const std::vector<size_t>& group,
-                                  const std::vector<int>*) const override {
-    MetricCoefficients out;
-    const size_t negatives = CountLabel(dataset, group, 0);
-    out.c.resize(group.size(), 0.0);
-    if (negatives == 0) return out;  // FPR undefined; metric contributes 0
-    const double coef = -1.0 / static_cast<double>(negatives);
-    for (size_t k = 0; k < group.size(); ++k) {
-      if (dataset.Label(group[k]) == 0) out.c[k] = coef;
-    }
-    out.c0 = 1.0;
-    return out;
-  }
-};
-
-/// FNR = P(h=0 | y=1): c_i = -1/|{y=1}| for y_i=1, 0 otherwise, c0 = 1.
-class FalseNegativeRateMetric : public FairnessMetric {
- public:
-  std::string Name() const override { return "fnr"; }
-  MetricCoefficients Coefficients(const Dataset& dataset,
-                                  const std::vector<size_t>& group,
-                                  const std::vector<int>*) const override {
-    MetricCoefficients out;
-    const size_t positives = CountLabel(dataset, group, 1);
-    out.c.resize(group.size(), 0.0);
-    if (positives == 0) return out;
-    const double coef = -1.0 / static_cast<double>(positives);
-    for (size_t k = 0; k < group.size(); ++k) {
-      if (dataset.Label(group[k]) == 1) out.c[k] = coef;
-    }
-    out.c0 = 1.0;
-    return out;
-  }
-};
-
-/// FOR = P(y=1 | h=0) (Appendix A, Eq. 26): prediction-parameterized.
-/// c_i = -1/|{h=0}| for y_i=0, 0 otherwise, c0 = 1. Only rows with h=0 and
-/// y=0 score 1(h=y)=1 among y_i=0 rows, so the identity recovers
-/// 1 - TN/|{h=0}| = FOR.
-class FalseOmissionRateMetric : public FairnessMetric {
- public:
-  std::string Name() const override { return "for"; }
+  std::string Name() const override { return name_; }
   bool DependsOnPredictions() const override { return true; }
   MetricCoefficients Coefficients(const Dataset& dataset,
                                   const std::vector<size_t>& group,
                                   const std::vector<int>* predictions) const override {
-    OF_CHECK(predictions != nullptr) << "FOR requires predictions";
+    OF_CHECK(predictions != nullptr) << name_ << " requires predictions";
     MetricCoefficients out;
-    const size_t predicted_negative = CountPrediction(*predictions, group, 0);
+    const size_t predicted = CountPrediction(*predictions, group, value_);
     out.c.resize(group.size(), 0.0);
-    if (predicted_negative == 0) return out;
-    const double coef = -1.0 / static_cast<double>(predicted_negative);
+    if (predicted == 0) return out;
+    const double coef = -1.0 / static_cast<double>(predicted);
     for (size_t k = 0; k < group.size(); ++k) {
-      if (dataset.Label(group[k]) == 0) out.c[k] = coef;
+      if (dataset.Label(group[k]) == value_) out.c[k] = coef;
     }
     out.c0 = 1.0;
     return out;
   }
-};
 
-/// FDR = P(y=0 | h=1): prediction-parameterized.
-/// c_i = -1/|{h=1}| for y_i=1, 0 otherwise, c0 = 1.
-class FalseDiscoveryRateMetric : public FairnessMetric {
- public:
-  std::string Name() const override { return "fdr"; }
-  bool DependsOnPredictions() const override { return true; }
-  MetricCoefficients Coefficients(const Dataset& dataset,
-                                  const std::vector<size_t>& group,
-                                  const std::vector<int>* predictions) const override {
-    OF_CHECK(predictions != nullptr) << "FDR requires predictions";
-    MetricCoefficients out;
-    const size_t predicted_positive = CountPrediction(*predictions, group, 1);
-    out.c.resize(group.size(), 0.0);
-    if (predicted_positive == 0) return out;
-    const double coef = -1.0 / static_cast<double>(predicted_positive);
-    for (size_t k = 0; k < group.size(); ++k) {
-      if (dataset.Label(group[k]) == 1) out.c[k] = coef;
-    }
-    out.c0 = 1.0;
-    return out;
-  }
+ private:
+  int value_;
+  std::string name_;
 };
 
 }  // namespace
+
+LabelCoefficients LabelCoefficientsOf(MetricKind kind, size_t negatives,
+                                      size_t positives) {
+  LabelCoefficients out;
+  const size_t total = negatives + positives;
+  switch (kind) {
+    // SP, f = P(h=1) (Example 3, Equation 8): c = -1/|g| for y=0, +1/|g|
+    // for y=1, c0 = |{y=0}|/|g|.
+    case MetricKind::kStatisticalParity:
+      if (total == 0) break;
+      out.c = {-1.0 / static_cast<double>(total),
+               1.0 / static_cast<double>(total)};
+      out.c0 = static_cast<double>(negatives) / static_cast<double>(total);
+      break;
+    // MR parity expressed as accuracy (Appendix A, Eq. 25): f = P(h=y),
+    // c = 1/|g|, c0 = 0. Equal accuracy <=> equal MR.
+    case MetricKind::kMisclassificationRate:
+      if (total == 0) break;
+      out.c = {1.0 / static_cast<double>(total),
+               1.0 / static_cast<double>(total)};
+      break;
+    // FPR = P(h=1 | y=0) = 1 - (1/|y=0|) * sum_{y_i=0} 1(h=y):
+    // c = -1/|{y=0}| for y=0, 0 for y=1, c0 = 1. (Table 2 lists the
+    // sign-flipped TNR variant; disparities coincide.)
+    case MetricKind::kFalsePositiveRate:
+      if (negatives == 0) break;
+      out.c[0] = -1.0 / static_cast<double>(negatives);
+      out.c0 = 1.0;
+      break;
+    // FNR = P(h=0 | y=1): c = -1/|{y=1}| for y=1, 0 for y=0, c0 = 1.
+    case MetricKind::kFalseNegativeRate:
+      if (positives == 0) break;
+      out.c[1] = -1.0 / static_cast<double>(positives);
+      out.c0 = 1.0;
+      break;
+    case MetricKind::kFalseOmissionRate:
+    case MetricKind::kFalseDiscoveryRate:
+      OF_CHECK(false) << "LabelCoefficientsOf: FOR/FDR depend on predictions";
+  }
+  return out;
+}
 
 double FairnessMetric::Evaluate(const Dataset& dataset,
                                 const std::vector<size_t>& group,
@@ -164,17 +138,17 @@ double FairnessMetric::Evaluate(const Dataset& dataset,
 std::unique_ptr<FairnessMetric> MakeMetric(MetricKind kind) {
   switch (kind) {
     case MetricKind::kStatisticalParity:
-      return std::make_unique<StatisticalParityMetric>();
+      return std::make_unique<LabelCountMetric>(kind, "sp");
     case MetricKind::kMisclassificationRate:
-      return std::make_unique<MisclassificationRateMetric>();
+      return std::make_unique<LabelCountMetric>(kind, "mr");
     case MetricKind::kFalsePositiveRate:
-      return std::make_unique<FalsePositiveRateMetric>();
+      return std::make_unique<LabelCountMetric>(kind, "fpr");
     case MetricKind::kFalseNegativeRate:
-      return std::make_unique<FalseNegativeRateMetric>();
+      return std::make_unique<LabelCountMetric>(kind, "fnr");
     case MetricKind::kFalseOmissionRate:
-      return std::make_unique<FalseOmissionRateMetric>();
+      return std::make_unique<PredictedValueRateMetric>(0, "for");
     case MetricKind::kFalseDiscoveryRate:
-      return std::make_unique<FalseDiscoveryRateMetric>();
+      return std::make_unique<PredictedValueRateMetric>(1, "fdr");
   }
   OF_CHECK(false) << "unknown metric kind";
   return nullptr;

@@ -1,6 +1,8 @@
 #ifndef OMNIFAIR_CORE_FAIRNESS_METRIC_H_
 #define OMNIFAIR_CORE_FAIRNESS_METRIC_H_
 
+#include <array>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -61,6 +63,21 @@ enum class MetricKind {
 
 /// Factory for the built-in metrics.
 std::unique_ptr<FairnessMetric> MakeMetric(MetricKind kind);
+
+/// Definition 3 coefficients of a prediction-independent built-in metric
+/// (SP / MR / FPR / FNR) on one group: a row with label y gets c[y], so
+///   f(h, g) = c0 + c[0] * #{h=0, y=0} + c[1] * #{h=1, y=1}.
+struct LabelCoefficients {
+  std::array<double, 2> c = {0.0, 0.0};
+  double c0 = 0.0;
+};
+
+/// The SP / MR / FPR / FNR formulas, from the group's label counts. An
+/// empty group (SP, MR) or an undefined rate (FPR without negatives, FNR
+/// without positives) gives all zeros: the metric contributes 0 (DESIGN.md
+/// §8). Aborts for the prediction-parameterized FOR / FDR.
+LabelCoefficients LabelCoefficientsOf(MetricKind kind, size_t negatives,
+                                      size_t positives);
 
 /// Factory by short name: "sp", "mr", "fpr", "fnr", "for", "fdr". Aborts on
 /// unknown names (programmer error); callers holding user input check it

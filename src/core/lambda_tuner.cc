@@ -13,25 +13,53 @@
 namespace omnifair {
 namespace {
 
-/// Bookkeeping for the best satisfying model seen during a tune.
-struct BestCandidate {
+/// A satisfying model kept by InBandBest.
+struct TunedModel {
   std::unique_ptr<Classifier> model;
   double lambda = 0.0;
-  double val_accuracy = -1.0;
   std::vector<double> val_fairness_parts;
-
-  void Consider(std::unique_ptr<Classifier> candidate, double candidate_lambda,
-                double accuracy, std::vector<double> fairness_parts) {
-    if (model == nullptr || accuracy > val_accuracy) {
-      model = std::move(candidate);
-      lambda = candidate_lambda;
-      val_accuracy = accuracy;
-      val_fairness_parts = std::move(fairness_parts);
-    }
-  }
 };
+using BestCandidate = InBandBest<TunedModel>;
 
 }  // namespace
+
+double LemmaDirection(double fp0) { return fp0 > 0.0 ? -1.0 : 1.0; }
+
+bool ResolvesViolation(double fp, double fp0, double epsilon) {
+  if (std::fabs(fp) <= epsilon) return true;
+  return fp0 > 0.0 ? fp < 0.0 : fp > 0.0;
+}
+
+LambdaBracket ExponentialBracket(double initial_step, int max_doublings,
+                                 const LambdaProbe& probe) {
+  LambdaBracket bracket;
+  double magnitude = initial_step;
+  for (int doubling = 0; doubling < max_doublings; ++doubling) {
+    const ProbeOutcome outcome = probe(magnitude);
+    if (outcome == ProbeOutcome::kStop) break;
+    if (outcome == ProbeOutcome::kResolved) {
+      bracket.hi = magnitude;
+      bracket.bounded = true;
+      break;
+    }
+    bracket.lo = magnitude;
+    magnitude = 2.0 * magnitude;
+  }
+  return bracket;
+}
+
+void Bisect(double tau, LambdaBracket* bracket, const LambdaProbe& probe) {
+  while (bracket->hi - bracket->lo >= tau) {
+    const double mid = 0.5 * (bracket->lo + bracket->hi);
+    const ProbeOutcome outcome = probe(mid);
+    if (outcome == ProbeOutcome::kStop) return;
+    if (outcome == ProbeOutcome::kResolved) {
+      bracket->hi = mid;
+    } else {
+      bracket->lo = mid;
+    }
+  }
+}
 
 LambdaTuner::LambdaTuner(TuneOptions options) : options_(options) {}
 
@@ -118,10 +146,10 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
     TuneResult result;
     result.status = search_status;
     result.satisfied = satisfied;
-    result.model = std::move(best.model);
-    result.lambda = best.lambda;
-    result.val_accuracy = best.val_accuracy;
-    result.val_fairness_parts = std::move(best.val_fairness_parts);
+    result.model = std::move(best.candidate.model);
+    result.lambda = best.candidate.lambda;
+    result.val_accuracy = best.accuracy;
+    result.val_fairness_parts = std::move(best.candidate.val_fairness_parts);
     result.models_trained = problem.models_trained() - models_before;
     (*lambdas)[j] = result.lambda;
     return result;
@@ -140,24 +168,16 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
       val_preds = problem.PredictVal(*model);
       annotate(val_preds);
     }
-    best.Consider(std::move(model), (*lambdas)[j], problem.ValAccuracy(val_preds),
-                  problem.val_evaluator().FairnessParts(val_preds));
+    best.Consider({std::move(model), (*lambdas)[j],
+                   problem.val_evaluator().FairnessParts(val_preds)},
+                  problem.ValAccuracy(val_preds));
     return finish(std::move(best), /*satisfied=*/true);
   }
 
-  // Stage 2 (lines 4-5): the violation has a sign; "resolved" means FP
-  // entered the feasible band or crossed to the other side of it (possible
-  // with discrete model jumps). This crossing-based predicate is equivalent
-  // to the paper's sign-normalized FP >= -epsilon test under monotonicity,
-  // and stays correct when the linear-search approximation for
-  // prediction-parameterized metrics reverses the effective direction.
-  auto resolved = [&](double fp) {
-    if (std::fabs(fp) <= epsilon) return true;
-    return fp0 > 0.0 ? fp < 0.0 : fp > 0.0;
-  };
-  // Lemma 2: FP increases with lambda, so a violated FP < -epsilon calls
-  // for larger lambda and vice versa.
-  const double lemma_direction = fp0 > 0.0 ? -1.0 : 1.0;
+  // Stage 2 (lines 4-5): the violation has a sign; Lemma 2 gives the
+  // direction and ResolvesViolation the crossing test.
+  auto resolved = [&](double fp) { return ResolvesViolation(fp, fp0, epsilon); };
+  const double lemma_direction = LemmaDirection(fp0);
   const double base = (*lambdas)[j];
 
   BestCandidate best;
@@ -168,17 +188,16 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
     const double fp = problem.val_evaluator().FairnessPart(j, preds);
     *fp_out = fp;
     if (std::fabs(fp) <= epsilon) {
-      best.Consider(std::move(model), lambda_value, problem.ValAccuracy(preds),
-                    problem.val_evaluator().FairnessParts(preds));
+      best.Consider({std::move(model), lambda_value,
+                     problem.val_evaluator().FairnessParts(preds)},
+                    problem.ValAccuracy(preds));
       return std::unique_ptr<Classifier>();  // consumed
     }
     return model;  // not a candidate; hand back for reuse
   };
 
   double direction = lemma_direction;
-  double magnitude_lo = 0.0;  // violating side of the bracket
-  double magnitude_hi = 0.0;  // resolved side of the bracket
-  bool bounded = false;
+  LambdaBracket bracket;
   // theta_l: model at the violating lower bound; its train-split predictions
   // approximate the weights for FOR/FDR (paper Algorithm 1 line 16).
   std::unique_ptr<Classifier> theta_l;
@@ -200,30 +219,24 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
     // Stage 2.1 (lines 21-27): exponential search. Weights are exact given
     // lambda, so Lemma 2's direction is reliable.
     problem.SetTuneStage("exponential");
-    double magnitude = options_.initial_step;
-    for (int doubling = 0; doubling < options_.max_doublings; ++doubling) {
-      if (budget_expired()) break;
-      OF_TRACE_SPAN("lambda_step");
-      OF_COUNTER_INC("tuner.lambda_steps");
-      trial[j] = base + direction * magnitude;
-      std::unique_ptr<Classifier> theta_u = bounding_fit(trial, nullptr);
-      if (fit_failed(theta_u)) break;
-      double fp = 0.0;
-      if (subsampled_bounding) {
-        const std::vector<int> preds = problem.PredictVal(*theta_u);
-        annotate(preds);
-        fp = problem.val_evaluator().FairnessPart(j, preds);
-      } else {
-        theta_u = evaluate_and_consider(std::move(theta_u), trial[j], &fp);
-      }
-      if (resolved(fp)) {
-        magnitude_hi = magnitude;
-        bounded = true;
-        break;
-      }
-      magnitude_lo = magnitude;
-      magnitude = 2.0 * magnitude;
-    }
+    bracket = ExponentialBracket(
+        options_.initial_step, options_.max_doublings, [&](double magnitude) {
+          if (budget_expired()) return ProbeOutcome::kStop;
+          OF_TRACE_SPAN("lambda_step");
+          OF_COUNTER_INC("tuner.lambda_steps");
+          trial[j] = base + direction * magnitude;
+          std::unique_ptr<Classifier> theta_u = bounding_fit(trial, nullptr);
+          if (fit_failed(theta_u)) return ProbeOutcome::kStop;
+          double fp = 0.0;
+          if (subsampled_bounding) {
+            const std::vector<int> preds = problem.PredictVal(*theta_u);
+            annotate(preds);
+            fp = problem.val_evaluator().FairnessPart(j, preds);
+          } else {
+            evaluate_and_consider(std::move(theta_u), trial[j], &fp);
+          }
+          return resolved(fp) ? ProbeOutcome::kResolved : ProbeOutcome::kViolated;
+        });
   } else {
     // Stage 2.2 (lines 29-37): linear search with incremental weight
     // re-estimation from the previous model. Because the frozen-coefficient
@@ -248,7 +261,8 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
     const bool parallel_probes =
         probe_clones[0] != nullptr && probe_clones[1] != nullptr;
     problem.SetTuneStage("linear");
-    for (int step = 0; step < options_.max_linear_steps && !bounded; ++step) {
+    for (int step = 0; step < options_.max_linear_steps && !bracket.bounded;
+         ++step) {
       if (budget_expired()) break;
       OF_TRACE_SPAN("lambda_step");
       OF_COUNTER_INC("tuner.lambda_steps");
@@ -321,7 +335,7 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
           }
           // Once this step aborted or resolved, the remaining side's fit is
           // already paid — record it, but keep the search state untouched.
-          if (aborted || bounded) continue;
+          if (aborted || bracket.bounded) continue;
           if (!fit_ok) {
             aborted = true;
             search_status = probe.outcome.status;
@@ -332,11 +346,9 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
               std::move(probe.outcome.model), probe.trial[j], &fp);
           if (resolved(fp)) {
             direction = side.sign;
-            magnitude_lo = side.magnitude;
-            magnitude_hi = probe.next_magnitude;
+            bracket = {side.magnitude, probe.next_magnitude, true};
             theta_l = std::move(side.theta_l);
             weight_model = theta_l != nullptr ? theta_l.get() : theta0_ptr;
-            bounded = true;
             continue;
           }
           side.magnitude = probe.next_magnitude;
@@ -370,11 +382,9 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
         }
         if (resolved(fp)) {
           direction = side.sign;
-          magnitude_lo = side.magnitude;
-          magnitude_hi = next_magnitude;
+          bracket = {side.magnitude, next_magnitude, true};
           theta_l = std::move(side.theta_l);
           weight_model = theta_l != nullptr ? theta_l.get() : theta0_ptr;
-          bounded = true;
           break;
         }
         side.magnitude = next_magnitude;
@@ -392,17 +402,16 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
   // request (no extra fit); otherwise one mandatory fallback fit runs — the
   // single fit exempt from the budget — unless the trainer itself is failing,
   // in which case the base model is the best we can do.
-  auto use_theta0 = [&](BestCandidate* target) {
+  auto use_theta0 = [&]() {
     // val_preds still holds theta0's predictions.
-    target->model = std::move(theta0);
-    target->lambda = base;
-    target->val_accuracy = problem.ValAccuracy(val_preds);
-    target->val_fairness_parts = problem.val_evaluator().FairnessParts(val_preds);
+    best.Consider({std::move(theta0), base,
+                   problem.val_evaluator().FairnessParts(val_preds)},
+                  problem.ValAccuracy(val_preds));
   };
   auto ensure_model = [&](double lambda_value) {
-    if (best.model != nullptr) return;
+    if (best.has) return;
     if (theta0 != nullptr && lambda_value == base) {
-      use_theta0(&best);
+      use_theta0();
       return;
     }
     if (!aborted) {
@@ -413,25 +422,24 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
       if (!fit_failed(fallback)) {
         std::vector<int> preds = problem.PredictVal(*fallback);
         annotate(preds);
-        best.model = std::move(fallback);
-        best.lambda = lambda_value;
-        best.val_accuracy = problem.ValAccuracy(preds);
-        best.val_fairness_parts = problem.val_evaluator().FairnessParts(preds);
+        best.Consider({std::move(fallback), lambda_value,
+                       problem.val_evaluator().FairnessParts(preds)},
+                      problem.ValAccuracy(preds));
         return;
       }
     }
-    if (theta0 != nullptr) use_theta0(&best);
+    if (theta0 != nullptr) use_theta0();
   };
 
   if (aborted || expired) {
     // Trainer failure or budget expiry during bracketing: return the best
     // in-band model seen, else a model at the starting lambda.
-    const bool satisfied = best.model != nullptr;
+    const bool satisfied = best.has;
     ensure_model(base);
     return finish(std::move(best), satisfied);
   }
 
-  if (!bounded) {
+  if (!bracket.bounded) {
     // No lambda within budget resolves the constraint: infeasible (NA(1)).
     ensure_model(base);
     return finish(std::move(best), /*satisfied=*/false);
@@ -439,37 +447,33 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
 
   // Stage 3 (lines 11-19): binary search down to tau. The smallest
   // satisfying magnitude has the least accuracy impact (Lemma 2, Eq. 16),
-  // and BestCandidate keeps the satisfying model with the highest
-  // validation accuracy seen anywhere in the search.
+  // and `best` keeps the satisfying model with the highest validation
+  // accuracy seen anywhere in the search.
   problem.SetTuneStage("binary");
-  while (magnitude_hi - magnitude_lo >= options_.tau) {
-    if (budget_expired()) break;
+  Bisect(options_.tau, &bracket, [&](double magnitude) {
+    if (budget_expired()) return ProbeOutcome::kStop;
     OF_TRACE_SPAN("lambda_step");
     OF_COUNTER_INC("tuner.lambda_steps");
-    const double magnitude_mid = 0.5 * (magnitude_lo + magnitude_hi);
-    trial[j] = base + direction * magnitude_mid;
+    trial[j] = base + direction * magnitude;
     std::unique_ptr<Classifier> theta_m = problem.FitWithLambdas(trial, weight_model);
-    if (fit_failed(theta_m)) break;
+    if (fit_failed(theta_m)) return ProbeOutcome::kStop;
     double fp = 0.0;
     std::unique_ptr<Classifier> kept =
         evaluate_and_consider(std::move(theta_m), trial[j], &fp);
-    if (resolved(fp)) {
-      magnitude_hi = magnitude_mid;
-    } else {
-      magnitude_lo = magnitude_mid;
-      if (prediction_dependent && kept != nullptr) {
-        theta_l = std::move(kept);
-        weight_model = theta_l.get();
-      }
+    if (resolved(fp)) return ProbeOutcome::kResolved;
+    if (prediction_dependent && kept != nullptr) {
+      theta_l = std::move(kept);
+      weight_model = theta_l.get();
     }
-  }
+    return ProbeOutcome::kViolated;
+  });
 
-  const bool satisfied = best.model != nullptr;
+  const bool satisfied = best.has;
   if (!satisfied) {
     // The band was crossed without landing inside it (discrete model jumps
     // can overshoot |FP| <= epsilon entirely). Report the resolved-side
     // endpoint as best effort.
-    ensure_model(base + direction * magnitude_hi);
+    ensure_model(base + direction * bracket.hi);
   }
   return finish(std::move(best), satisfied);
 }

@@ -1,7 +1,9 @@
 #ifndef OMNIFAIR_CORE_LAMBDA_TUNER_H_
 #define OMNIFAIR_CORE_LAMBDA_TUNER_H_
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -10,6 +12,68 @@
 #include "util/status.h"
 
 namespace omnifair {
+
+// ---------------------------------------------------------------------------
+// Algorithm 1's search, written once. Both the in-memory LambdaTuner and the
+// out-of-core StreamTuneLambda drive it: a probe fits at
+// base + direction * magnitude and says where the fairness part landed.
+// ---------------------------------------------------------------------------
+
+/// Lemma 2 sign normalisation: FP increases with lambda, so a positive
+/// violation fp0 calls for smaller lambda (-1) and a negative one for
+/// larger lambda (+1).
+double LemmaDirection(double fp0);
+
+/// The crossing predicate: `fp` entered the band |fp| <= epsilon, or crossed
+/// to the other side of it from fp0 (discrete model jumps can overshoot).
+/// Equivalent to the paper's sign-normalised FP >= -epsilon test under
+/// monotonicity, and still right when the FOR/FDR linear search reverses
+/// the effective direction.
+bool ResolvesViolation(double fp, double fp0, double epsilon);
+
+/// What one probe fit reported.
+enum class ProbeOutcome {
+  kResolved,  ///< ResolvesViolation holds at this magnitude
+  kViolated,  ///< still on the violating side
+  kStop,      ///< no fit (trainer failure, budget, I/O): end the search now
+};
+
+/// Fits at base + direction * magnitude and reports the outcome.
+using LambdaProbe = std::function<ProbeOutcome(double magnitude)>;
+
+/// Magnitudes bracketing the crossing: `lo` violates, `hi` resolves.
+struct LambdaBracket {
+  double lo = 0.0;
+  double hi = 0.0;
+  bool bounded = false;
+};
+
+/// Exponential search (Algorithm 1 lines 21-27): probes initial_step,
+/// 2 * initial_step, ... for at most `max_doublings` fits, stopping at the
+/// first resolved magnitude (bounded) or at a kStop (unbounded).
+LambdaBracket ExponentialBracket(double initial_step, int max_doublings,
+                                 const LambdaProbe& probe);
+
+/// Binary search (lines 11-19): probes midpoints of a bounded bracket until
+/// hi - lo < tau or the probe stops.
+void Bisect(double tau, LambdaBracket* bracket, const LambdaProbe& probe);
+
+/// The one keep-the-most-accurate-in-band rule: a candidate replaces the
+/// kept one only with strictly greater validation accuracy, so the first of
+/// equally accurate candidates wins.
+template <typename Candidate>
+struct InBandBest {
+  Candidate candidate{};
+  double accuracy = -1.0;  ///< -1 until a candidate is kept
+  bool has = false;
+
+  void Consider(Candidate c, double candidate_accuracy) {
+    if (has && !(candidate_accuracy > accuracy)) return;
+    candidate = std::move(c);
+    accuracy = candidate_accuracy;
+    has = true;
+  }
+};
 
 /// Knobs of Algorithm 1. Defaults follow the paper (tau ~ 1e-4..1e-3,
 /// delta ~ 1e-3..2e-2); slightly coarser defaults keep retraining counts

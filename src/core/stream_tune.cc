@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/lambda_tuner.h"
 #include "linalg/simd.h"
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
@@ -17,73 +18,13 @@ bool IsValidationBlock(size_t index, const StreamTuneOptions& options) {
   return index % period == period - 1;
 }
 
-/// Per-group label counts over the train blocks.
-struct GroupCounts {
-  uint64_t total = 0;
-  uint64_t y0 = 0;
-  uint64_t y1 = 0;
-};
-
-/// Metric coefficient c(g, y) from the group's train-split label counts —
-/// the same formulas FairnessMetric::Coefficients uses, including the
-/// empty-group / undefined-rate conventions (contribute 0).
-std::array<double, 2> MetricCoefficientOf(MetricKind metric,
-                                          const GroupCounts& g) {
-  std::array<double, 2> c = {0.0, 0.0};
-  switch (metric) {
-    case MetricKind::kStatisticalParity:
-      if (g.total > 0) {
-        c[0] = -1.0 / static_cast<double>(g.total);
-        c[1] = 1.0 / static_cast<double>(g.total);
-      }
-      break;
-    case MetricKind::kMisclassificationRate:
-      if (g.total > 0) {
-        c[0] = 1.0 / static_cast<double>(g.total);
-        c[1] = c[0];
-      }
-      break;
-    case MetricKind::kFalsePositiveRate:
-      if (g.y0 > 0) c[0] = -1.0 / static_cast<double>(g.y0);
-      break;
-    case MetricKind::kFalseNegativeRate:
-      if (g.y1 > 0) c[1] = -1.0 / static_cast<double>(g.y1);
-      break;
-    default:
-      OF_CHECK(false) << "prediction-parameterized metric in streaming tuner";
-  }
-  return c;
-}
-
-/// Per-group confusion counts streamed over the validation blocks.
+/// Per-group label and true-outcome counts over the validation blocks.
 struct ValCounts {
-  uint64_t total = 0;
   uint64_t y0 = 0;
   uint64_t y1 = 0;
-  uint64_t correct = 0;     // h == y
-  uint64_t pred1 = 0;       // h == 1
-  uint64_t tn = 0;          // h == 0, y == 0
-  uint64_t tp = 0;          // h == 1, y == 1
+  uint64_t tn = 0;  // h == 0, y == 0
+  uint64_t tp = 0;  // h == 1, y == 1
 };
-
-/// f(h, g) per metric from validation confusion counts, matching the
-/// Definition 3 identity the in-memory Evaluate() computes (FPR/FNR return
-/// the true named rate; undefined rates contribute 0).
-double MetricValueOf(MetricKind metric, const ValCounts& g) {
-  switch (metric) {
-    case MetricKind::kStatisticalParity:
-      return g.total > 0 ? static_cast<double>(g.pred1) / g.total : 0.0;
-    case MetricKind::kMisclassificationRate:
-      return g.total > 0 ? static_cast<double>(g.correct) / g.total : 0.0;
-    case MetricKind::kFalsePositiveRate:
-      return g.y0 > 0 ? 1.0 - static_cast<double>(g.tn) / g.y0 : 0.0;
-    case MetricKind::kFalseNegativeRate:
-      return g.y1 > 0 ? 1.0 - static_cast<double>(g.tp) / g.y1 : 0.0;
-    default:
-      OF_CHECK(false) << "prediction-parameterized metric in streaming tuner";
-  }
-  return 0.0;
-}
 
 struct EvalResult {
   double accuracy = 0.0;
@@ -95,22 +36,6 @@ struct Candidate {
   std::vector<double> theta;
   double lambda = 0.0;
   EvalResult eval;
-  bool satisfied = false;
-};
-
-/// Keeps the highest-validation-accuracy satisfying candidate (the
-/// BestCandidate rule of the in-memory tuner).
-struct BestCandidate {
-  Candidate candidate;
-  bool has = false;
-
-  void Consider(const Candidate& c) {
-    if (!c.satisfied) return;
-    if (!has || c.eval.accuracy > candidate.eval.accuracy) {
-      candidate = c;
-      has = true;
-    }
-  }
 };
 
 class StreamTuner {
@@ -138,60 +63,41 @@ class StreamTuner {
 
     Result<Candidate> base = FitAndScore(0.0);
     if (!base.ok()) return base.status();
-    ++models_trained_;
-    BestCandidate best;
-    best.Consider(*base);
     const double fp0 = base->eval.fairness_gap;
-    if (std::abs(fp0) <= options_.epsilon) {
-      return Finish(*base, /*satisfied=*/true);
-    }
+    if (std::abs(fp0) <= options_.epsilon) return Finish(*base, true);
 
-    // Lemma 2 orientation: a positive gap shrinks as lambda decreases.
-    const double direction = fp0 > 0 ? -1.0 : 1.0;
-    auto resolved = [&](double fp) {
-      return std::abs(fp) <= options_.epsilon || (fp0 > 0 ? fp < 0 : fp > 0);
-    };
-
-    // Exponential search for a bracketing magnitude.
-    double magnitude_lo = 0.0;
-    double magnitude_hi = -1.0;
-    double magnitude = options_.initial_step;
-    Candidate last;
-    for (int d = 0; d <= options_.max_doublings; ++d) {
+    // Algorithm 1's shared search (lambda_tuner.h). `resolved_side` is the
+    // candidate at the bracket's resolved end, returned when the band is
+    // overshot; the stream holds its theta, so that needs no refit.
+    const double direction = LemmaDirection(fp0);
+    InBandBest<Candidate> best;
+    Candidate resolved_side;
+    Status fit_status;
+    const LambdaProbe probe = [&](double magnitude) {
       Result<Candidate> fit = FitAndScore(direction * magnitude);
-      if (!fit.ok()) return fit.status();
-      ++models_trained_;
-      best.Consider(*fit);
-      last = *fit;
-      if (resolved(fit->eval.fairness_gap)) {
-        magnitude_hi = magnitude;
-        break;
+      if (!fit.ok()) {
+        fit_status = fit.status();
+        return ProbeOutcome::kStop;
       }
-      magnitude_lo = magnitude;
-      magnitude *= 2.0;
-    }
-    if (magnitude_hi < 0.0) {
-      // No crossing within the search range: best-effort, unsatisfied
-      // (mirrors the in-memory tuner's infeasible handling).
-      return Finish(best.has ? best.candidate : last, best.has);
-    }
-
-    // Binary search pins the crossing to tau.
-    while (magnitude_hi - magnitude_lo >= options_.tau) {
-      const double mid = 0.5 * (magnitude_lo + magnitude_hi);
-      Result<Candidate> fit = FitAndScore(direction * mid);
-      if (!fit.ok()) return fit.status();
-      ++models_trained_;
-      best.Consider(*fit);
-      last = *fit;
-      if (resolved(fit->eval.fairness_gap)) {
-        magnitude_hi = mid;
-      } else {
-        magnitude_lo = mid;
+      const double gap = fit->eval.fairness_gap;
+      if (!ResolvesViolation(gap, fp0, options_.epsilon)) {
+        return ProbeOutcome::kViolated;
       }
-    }
+      if (std::abs(gap) <= options_.epsilon) {
+        best.Consider(*fit, fit->eval.accuracy);
+      }
+      resolved_side = std::move(*fit);
+      return ProbeOutcome::kResolved;
+    };
+    LambdaBracket bracket = ExponentialBracket(
+        options_.initial_step, options_.max_doublings, probe);
+    if (!fit_status.ok()) return fit_status;
+    // No crossing within max_doublings: infeasible, the lambda = 0 model.
+    if (!bracket.bounded) return Finish(*base, false);
+    Bisect(options_.tau, &bracket, probe);
+    if (!fit_status.ok()) return fit_status;
     if (best.has) return Finish(best.candidate, true);
-    return Finish(last, last.satisfied);
+    return Finish(resolved_side, false);
   }
 
  private:
@@ -199,7 +105,7 @@ class StreamTuner {
     StreamTuneResult result;
     result.theta = c.theta;
     result.lambda = c.lambda;
-    result.satisfied = satisfied && c.satisfied;
+    result.satisfied = satisfied;
     result.val_accuracy = c.eval.accuracy;
     result.val_fairness_gap = c.eval.fairness_gap;
     result.models_trained = models_trained_;
@@ -220,12 +126,8 @@ class StreamTuner {
     if (!theta.ok()) return theta.status();
     Result<EvalResult> eval = Evaluate(*theta);
     if (!eval.ok()) return eval.status();
-    Candidate c;
-    c.theta = std::move(*theta);
-    c.lambda = lambda;
-    c.eval = *eval;
-    c.satisfied = std::abs(c.eval.fairness_gap) <= options_.epsilon;
-    return c;
+    ++models_trained_;
+    return Candidate{std::move(*theta), lambda, *eval};
   }
 
   /// Weighted mini-batch SGD over the train blocks: blocks are visited in a
@@ -328,18 +230,26 @@ class StreamTuner {
         const int g = block->groups[i];
         if (g < 0 || static_cast<size_t>(g) >= num_groups) continue;
         ValCounts& vc = counts[static_cast<size_t>(g)];
-        ++vc.total;
-        if (y == 0) ++vc.y0; else ++vc.y1;
-        vc.correct += (pred == y);
-        vc.pred1 += (pred == 1);
-        vc.tn += (pred == 0 && y == 0);
-        vc.tp += (pred == 1 && y == 1);
+        if (y == 0) {
+          ++vc.y0;
+          vc.tn += (pred == 0);
+        } else {
+          ++vc.y1;
+          vc.tp += (pred == 1);
+        }
       }
     }
+    // Definition 3 on the counts: f(g) = c0 + c[0] * tn + c[1] * tp.
+    auto metric_value = [&](const ValCounts& vc) {
+      const LabelCoefficients coef =
+          LabelCoefficientsOf(options_.metric, vc.y0, vc.y1);
+      return coef.c0 + coef.c[0] * static_cast<double>(vc.tn) +
+             coef.c[1] * static_cast<double>(vc.tp);
+    };
     EvalResult out;
     out.accuracy = total > 0 ? static_cast<double>(correct) / total : 0.0;
-    out.fairness_gap = MetricValueOf(options_.metric, counts[options_.group1]) -
-                       MetricValueOf(options_.metric, counts[options_.group2]);
+    out.fairness_gap = metric_value(counts[options_.group1]) -
+                       metric_value(counts[options_.group2]);
     return out;
   }
 
@@ -367,7 +277,7 @@ Result<StreamCoefficientTable> BuildStreamCoefficientTable(
         "streaming tune supports prediction-independent metrics only "
         "(SP/MR/FPR/FNR)");
   }
-  std::vector<GroupCounts> counts(num_groups);
+  std::vector<std::array<size_t, 2>> label_counts(num_groups, {0, 0});
   uint64_t n_train = 0;
   for (size_t b = 0; b < data.num_blocks(); ++b) {
     if (IsValidationBlock(b, options)) continue;
@@ -378,18 +288,19 @@ Result<StreamCoefficientTable> BuildStreamCoefficientTable(
     for (size_t i = 0; i < rows; ++i) {
       const int g = block->groups[i];
       if (g < 0 || static_cast<size_t>(g) >= num_groups) continue;
-      GroupCounts& gc = counts[static_cast<size_t>(g)];
-      ++gc.total;
-      if (block->labels[i] == 0) ++gc.y0; else ++gc.y1;
+      ++label_counts[static_cast<size_t>(g)][block->labels[i] == 0 ? 0 : 1];
     }
   }
   StreamCoefficientTable table;
   table.n_train = n_train;
   table.s.assign(num_groups, {0.0, 0.0});
-  const std::array<double, 2> c1 =
-      MetricCoefficientOf(options.metric, counts[options.group1]);
-  const std::array<double, 2> c2 =
-      MetricCoefficientOf(options.metric, counts[options.group2]);
+  auto coefficients = [&](size_t group) {
+    return LabelCoefficientsOf(options.metric, label_counts[group][0],
+                               label_counts[group][1])
+        .c;
+  };
+  const std::array<double, 2> c1 = coefficients(options.group1);
+  const std::array<double, 2> c2 = coefficients(options.group2);
   table.s[options.group1] = {c1[0], c1[1]};
   table.s[options.group2] = {-c2[0], -c2[1]};
   return table;

@@ -18,7 +18,9 @@ namespace omnifair {
 // dataset, streaming one block at a time: every trainer fit is weighted
 // mini-batch SGD over the train blocks, every candidate is scored by a
 // streamed pass over the validation blocks. Peak resident memory is one
-// decoded block regardless of dataset size.
+// decoded block regardless of dataset size. The search is the one
+// LambdaTuner drives (ExponentialBracket / Bisect in lambda_tuner.h), and
+// weights and validation values both come from LabelCoefficientsOf.
 //
 // Restricted to prediction-independent metrics (SP / MR / FPR / FNR): their
 // Eq. 12 coefficients depend only on (group, label) and per-group label
@@ -49,7 +51,8 @@ struct StreamTuneOptions {
   /// Constraint threshold: |f(g1) - f(g2)| <= epsilon on validation.
   double epsilon = 0.05;
 
-  // Algorithm 1 search (same meaning as TuneOptions).
+  // Algorithm 1 search: the same fields of TuneOptions, fed to the shared
+  // ExponentialBracket (at most max_doublings fits) and Bisect (to tau).
   double tau = 1e-3;
   double initial_step = 1.0;
   int max_doublings = 24;
@@ -73,7 +76,8 @@ struct StreamTuneOptions {
 ///   w_i = max(0, 1 + n_train * lambda * s[group_i][label_i]).
 /// s is +c(g1, y) for rows in group1, -c(g2, y) for rows in group2, 0
 /// elsewhere, with c the metric's coefficient computed from the train-split
-/// group/label counts (exactly the FairnessMetric::Coefficients formulas).
+/// group/label counts by LabelCoefficientsOf, the formulas behind
+/// FairnessMetric::Coefficients.
 struct StreamCoefficientTable {
   std::vector<std::array<double, 2>> s;  ///< [group][label]
   uint64_t n_train = 0;
@@ -96,7 +100,10 @@ struct StreamTuneResult {
   int models_trained = 0;
 };
 
-/// Runs the out-of-core Algorithm 1. Deterministic for fixed options
+/// Runs the out-of-core Algorithm 1 with the in-memory tuner's edge rules:
+/// no bracket within max_doublings returns the lambda = 0 model unsatisfied,
+/// and a bisection that never lands in the band returns the model at the
+/// bracket's resolved end, unsatisfied. Deterministic for fixed options
 /// (the SGD visits blocks in a seeded shuffled order and accumulates
 /// serially, so results are bit-identical at any thread count).
 Result<StreamTuneResult> StreamTuneLambda(const ChunkedDataset& data,

@@ -76,6 +76,17 @@ expect_usage_error("train --stream --epochs 0" "--epochs must be a positive inte
 expect_usage_error("explain --stream --epochs -1"
                    "--epochs must be a positive integer"
                    explain ${common} --stream --epochs -1)
+expect_usage_error("train --stream --block-rows 0"
+                   "--block-rows must be a positive integer"
+                   train ${common} --stream --block-rows 0)
 if(EXISTS ${data}.ofcd)
   message(FATAL_ERROR "a rejected --stream value ingested ${data}.ofcd")
+endif()
+# synth --stream checks --block-rows before writing anything.
+expect_usage_error("synth --stream --block-rows -5"
+                   "--block-rows must be a positive integer"
+                   synth --dataset compas --rows 100 --stream --block-rows -5
+                   --out ${OUT_DIR}/blocks.ofcd)
+if(EXISTS ${OUT_DIR}/blocks.ofcd)
+  message(FATAL_ERROR "synth --stream --block-rows -5 wrote ${OUT_DIR}/blocks.ofcd")
 endif()

@@ -1,6 +1,8 @@
 #include "core/fairness_metric.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -168,6 +170,75 @@ TEST(FairnessMetricTest, EmptyDenominatorsAreSafe) {
   EXPECT_DOUBLE_EQ(MakeMetricByName("fpr")->Evaluate(d, group, predictions), 0.0);
   // FOR: predicted-negative set exists but contains no y=0.
   EXPECT_DOUBLE_EQ(MakeMetricByName("for")->Evaluate(d, group, predictions), 1.0);
+}
+
+/// One group of n0 negatives followed by n1 positives.
+Dataset LabelCountDataset(size_t n0, size_t n1) {
+  Dataset d;
+  Column g = Column::Categorical("g", {"a"});
+  std::vector<int> labels;
+  for (size_t i = 0; i < n0 + n1; ++i) {
+    g.AppendCode(0);
+    labels.push_back(i < n0 ? 0 : 1);
+  }
+  d.AddColumn(std::move(g));
+  d.SetLabels(std::move(labels));
+  return d;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(FairnessMetricTest, LabelMetricsMatchLabelCoefficientsBitwise) {
+  // The per-row coefficients of SP / MR / FPR / FNR come from
+  // LabelCoefficientsOf, and equal the Table 2 / Appendix A formulas bit for
+  // bit, including the empty-group and undefined-rate zeros.
+  struct Expected {
+    std::array<double, 2> c;
+    double c0;
+  };
+  auto expected = [](MetricKind kind, size_t n0, size_t n1) -> Expected {
+    const double t = static_cast<double>(n0 + n1);
+    switch (kind) {
+      case MetricKind::kStatisticalParity:
+        if (n0 + n1 == 0) return {{0.0, 0.0}, 0.0};
+        return {{-1.0 / t, 1.0 / t}, static_cast<double>(n0) / t};
+      case MetricKind::kMisclassificationRate:
+        if (n0 + n1 == 0) return {{0.0, 0.0}, 0.0};
+        return {{1.0 / t, 1.0 / t}, 0.0};
+      case MetricKind::kFalsePositiveRate:
+        if (n0 == 0) return {{0.0, 0.0}, 0.0};
+        return {{-1.0 / static_cast<double>(n0), 0.0}, 1.0};
+      default:  // kFalseNegativeRate
+        if (n1 == 0) return {{0.0, 0.0}, 0.0};
+        return {{0.0, -1.0 / static_cast<double>(n1)}, 1.0};
+    }
+  };
+  const std::vector<std::pair<size_t, size_t>> counts = {
+      {0, 0}, {0, 3}, {2, 0}, {2, 3}};
+  for (MetricKind kind :
+       {MetricKind::kStatisticalParity, MetricKind::kMisclassificationRate,
+        MetricKind::kFalsePositiveRate, MetricKind::kFalseNegativeRate}) {
+    const auto metric = MakeMetric(kind);
+    for (const auto& [n0, n1] : counts) {
+      SCOPED_TRACE(metric->Name() + " n0=" + std::to_string(n0) +
+                   " n1=" + std::to_string(n1));
+      const LabelCoefficients label_coef = LabelCoefficientsOf(kind, n0, n1);
+      const Expected want = expected(kind, n0, n1);
+      EXPECT_TRUE(SameBits(label_coef.c[0], want.c[0]));
+      EXPECT_TRUE(SameBits(label_coef.c[1], want.c[1]));
+      EXPECT_TRUE(SameBits(label_coef.c0, want.c0));
+
+      const Dataset d = LabelCountDataset(n0, n1);
+      std::vector<size_t> group(n0 + n1);
+      for (size_t i = 0; i < group.size(); ++i) group[i] = i;
+      const MetricCoefficients coef = metric->Coefficients(d, group, nullptr);
+      ASSERT_EQ(coef.c.size(), group.size());
+      for (size_t k = 0; k < group.size(); ++k) {
+        EXPECT_TRUE(SameBits(coef.c[k], label_coef.c[d.Label(k)])) << "row " << k;
+      }
+      EXPECT_TRUE(SameBits(coef.c0, label_coef.c0));
+    }
+  }
 }
 
 }  // namespace

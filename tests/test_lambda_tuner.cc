@@ -3,6 +3,7 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,113 @@ std::unique_ptr<FairnessProblem> MakeProblem(const Dataset& train, const Dataset
       train, val, {MakeSpec(GroupByAttribute("grp"), metric, epsilon)}, trainer);
   EXPECT_TRUE(problem.ok()) << problem.status();
   return std::move(*problem);
+}
+
+/// Algorithm 1's shared search without a trainer, over a fake monotone
+/// fairness part fp(lambda) = fp0 + slope * lambda: the search primitives see
+/// exactly what a tuner's probe reports, and every probed lambda is recorded.
+struct FakeMonotoneSearch {
+  double fp0 = 0.3;
+  double slope = 0.1;
+  double epsilon = 0.01;
+  std::vector<double> probed;
+
+  double Fp(double lambda) const { return fp0 + slope * lambda; }
+  LambdaProbe Probe() {
+    return [this](double magnitude) {
+      const double lambda = LemmaDirection(fp0) * magnitude;
+      probed.push_back(lambda);
+      return ResolvesViolation(Fp(lambda), fp0, epsilon)
+                 ? ProbeOutcome::kResolved
+                 : ProbeOutcome::kViolated;
+    };
+  }
+};
+
+TEST(SharedSearchTest, SignNormalisationFollowsLemma2) {
+  EXPECT_EQ(LemmaDirection(0.2), -1.0);
+  EXPECT_EQ(LemmaDirection(-0.2), 1.0);
+  // fp0 > 0: only fits at negative lambda can reach the band.
+  FakeMonotoneSearch search;
+  const LambdaBracket bracket =
+      ExponentialBracket(1.0, 24, search.Probe());
+  ASSERT_TRUE(bracket.bounded);
+  for (double lambda : search.probed) EXPECT_LT(lambda, 0.0);
+  // The crossing predicate: in band, crossed over, or still violating.
+  EXPECT_TRUE(ResolvesViolation(0.005, 0.3, 0.01));
+  EXPECT_TRUE(ResolvesViolation(-0.5, 0.3, 0.01));
+  EXPECT_FALSE(ResolvesViolation(0.02, 0.3, 0.01));
+  EXPECT_TRUE(ResolvesViolation(0.5, -0.3, 0.01));
+  EXPECT_FALSE(ResolvesViolation(-0.02, -0.3, 0.01));
+}
+
+TEST(SharedSearchTest, BracketThenBisectStopsBelowTau) {
+  FakeMonotoneSearch search;
+  const LambdaProbe probe = search.Probe();
+  LambdaBracket bracket = ExponentialBracket(1.0, 24, probe);
+  // fp(-1) = 0.2 and fp(-2) = 0.1 violate; fp(-4) = -0.1 crossed the band.
+  ASSERT_TRUE(bracket.bounded);
+  EXPECT_EQ(bracket.lo, 2.0);
+  EXPECT_EQ(bracket.hi, 4.0);
+  EXPECT_EQ(search.probed, (std::vector<double>{-1.0, -2.0, -4.0}));
+
+  const double tau = 1e-3;
+  Bisect(tau, &bracket, probe);
+  EXPECT_LT(bracket.hi - bracket.lo, tau);
+  // Each halving narrows [2, 4]: 11 midpoints take the width below 1e-3.
+  EXPECT_EQ(search.probed.size(), 3u + 11u);
+  // The ends still straddle the crossing at |lambda| = 2.9.
+  EXPECT_FALSE(ResolvesViolation(search.Fp(-bracket.lo), search.fp0,
+                                 search.epsilon));
+  EXPECT_TRUE(ResolvesViolation(search.Fp(-bracket.hi), search.fp0,
+                                search.epsilon));
+}
+
+TEST(SharedSearchTest, StopEndsTheSearchAtOnce) {
+  int calls = 0;
+  const LambdaProbe stop_second = [&](double) {
+    return ++calls == 2 ? ProbeOutcome::kStop : ProbeOutcome::kViolated;
+  };
+  LambdaBracket bracket = ExponentialBracket(1.0, 24, stop_second);
+  EXPECT_EQ(calls, 2);
+  EXPECT_FALSE(bracket.bounded);
+  EXPECT_EQ(bracket.lo, 1.0);
+
+  calls = 0;
+  const LambdaProbe stop_first = [&](double) {
+    ++calls;
+    return ProbeOutcome::kStop;
+  };
+  bracket = {2.0, 4.0, true};
+  Bisect(1e-3, &bracket, stop_first);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(bracket.lo, 2.0);
+  EXPECT_EQ(bracket.hi, 4.0);
+}
+
+TEST(SharedSearchTest, MaxDoublingsCapsTheFits) {
+  // The band is never reached, so only the cap ends the exponential stage.
+  for (int max_doublings : {0, 1, 3}) {
+    FakeMonotoneSearch search;
+    search.slope = 0.0;
+    const LambdaBracket bracket =
+        ExponentialBracket(1.0, max_doublings, search.Probe());
+    EXPECT_FALSE(bracket.bounded);
+    EXPECT_EQ(search.probed.size(), static_cast<size_t>(max_doublings));
+  }
+}
+
+TEST(SharedSearchTest, InBandBestKeepsFirstOfEquallyAccurate) {
+  InBandBest<int> best;
+  EXPECT_FALSE(best.has);
+  best.Consider(1, 0.8);
+  best.Consider(2, 0.8);  // tie: the first stays
+  EXPECT_EQ(best.candidate, 1);
+  best.Consider(3, 0.7);
+  EXPECT_EQ(best.candidate, 1);
+  best.Consider(4, 0.81);  // strictly greater replaces
+  EXPECT_EQ(best.candidate, 4);
+  EXPECT_EQ(best.accuracy, 0.81);
 }
 
 /// Lemma 2 empirically, over seeds x constant-coefficient metrics: the

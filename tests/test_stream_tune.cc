@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "core/spec.h"
 #include "core/weights.h"
 #include "data/chunked_dataset.h"
 #include "data/datasets.h"
 #include "data/synthetic_stream.h"
 #include "linalg/matrix.h"
+#include "linalg/simd.h"
 
 namespace omnifair {
 namespace {
@@ -219,6 +221,83 @@ TEST(StreamTuneTest, LambdaZeroWhenUnconstrained) {
   ASSERT_TRUE(tuned.ok()) << tuned.status();
   EXPECT_TRUE(tuned->satisfied);
   EXPECT_EQ(tuned->lambda, 0.0);
+  EXPECT_EQ(tuned->models_trained, 1);
+}
+
+TEST(StreamTuneTest, ValidationGapMatchesInMemoryEvaluator) {
+  // epsilon = 1 returns the one base fit; its streamed validation gap must
+  // be the in-memory ConstraintEvaluator's FairnessPart on the same rows
+  // with the returned theta's predictions.
+  const std::string path = StreamedCompas("tune_val_parity.ofcd", 3000, 256);
+  Result<ChunkedDataset> chunked = ChunkedDataset::Open(path);
+  ASSERT_TRUE(chunked.ok()) << chunked.status();
+  const std::vector<std::string>& names = chunked->meta().group_names;
+  const size_t d = chunked->meta().num_features;
+  for (MetricKind metric :
+       {MetricKind::kStatisticalParity, MetricKind::kMisclassificationRate,
+        MetricKind::kFalsePositiveRate, MetricKind::kFalseNegativeRate}) {
+    StreamTuneOptions options;
+    options.metric = metric;
+    options.epsilon = 1.0;
+    options.batch_size = 256;
+    options.epochs = 1;
+    Result<StreamTuneResult> tuned = StreamTuneLambda(*chunked, options);
+    ASSERT_TRUE(tuned.ok()) << tuned.status();
+    ASSERT_EQ(tuned->models_trained, 1);
+    ASSERT_EQ(tuned->theta.size(), d + 1);
+
+    // The validation blocks (every val_block_period-th) as a Dataset, and
+    // the returned model's predictions on them.
+    Dataset val("val");
+    Column grp = Column::Categorical("grp", names);
+    std::vector<int> labels;
+    std::vector<int> predictions;
+    for (size_t b = options.val_block_period - 1; b < chunked->num_blocks();
+         b += options.val_block_period) {
+      Result<DatasetBlock> block = chunked->MaterializeBlock(b);
+      ASSERT_TRUE(block.ok()) << block.status();
+      for (size_t i = 0; i < block->labels.size(); ++i) {
+        grp.AppendCode(block->groups[i]);
+        labels.push_back(block->labels[i]);
+        const double z = tuned->theta[d] +
+                         simd::Active().dot_f32(block->features.RowF(i),
+                                                tuned->theta.data(), d);
+        predictions.push_back(z >= 0.0 ? 1 : 0);
+      }
+    }
+    ASSERT_FALSE(labels.empty());
+    val.AddColumn(std::move(grp));
+    val.SetLabels(std::move(labels));
+
+    ConstraintSpec constraint;
+    constraint.grouping = GroupByAttribute("grp");
+    constraint.metric = MakeMetric(metric);
+    constraint.group1 = names[options.group1];
+    constraint.group2 = names[options.group2];
+    constraint.epsilon = options.epsilon;
+    const ConstraintEvaluator evaluator({constraint}, val);
+    EXPECT_NEAR(tuned->val_fairness_gap, evaluator.FairnessPart(0, predictions),
+                1e-12)
+        << "metric " << constraint.metric->Name();
+  }
+}
+
+TEST(StreamTuneTest, NoDoublingsReturnsBaseModelUnsatisfied) {
+  // max_doublings caps the exponential fits as in TuneOptions: with 0 and an
+  // unreachable epsilon no bracket exists, so the lambda = 0 model comes
+  // back unsatisfied after the one base fit.
+  const std::string path = StreamedCompas("tune_no_doublings.ofcd", 3000, 512);
+  Result<ChunkedDataset> chunked = ChunkedDataset::Open(path);
+  ASSERT_TRUE(chunked.ok()) << chunked.status();
+  StreamTuneOptions options;
+  options.epsilon = 1e-9;
+  options.max_doublings = 0;
+  options.batch_size = 256;
+  options.epochs = 1;
+  Result<StreamTuneResult> tuned = StreamTuneLambda(*chunked, options);
+  ASSERT_TRUE(tuned.ok()) << tuned.status();
+  EXPECT_EQ(tuned->lambda, 0.0);
+  EXPECT_FALSE(tuned->satisfied);
   EXPECT_EQ(tuned->models_trained, 1);
 }
 

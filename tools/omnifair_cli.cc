@@ -85,6 +85,17 @@ struct Args {
     }
     return value;
   }
+  /// A positive int-sized integer flag: zero or a negative value is a usage
+  /// error (exit 2), never silently replaced by the default.
+  long GetPositive(const std::string& key, long fallback) const {
+    const long value = GetLong(key, fallback);
+    if (value <= 0 || value > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "error: --%s must be a positive integer, got %ld\n",
+                   key.c_str(), value);
+      std::exit(2);
+    }
+    return value;
+  }
   [[noreturn]] static void BadNumber(const std::string& key,
                                      const std::string& value) {
     std::fprintf(stderr, "error: --%s '%s' is not a valid number\n",
@@ -100,12 +111,13 @@ int Usage() {
                "commands:\n"
                "  synth --dataset {adult|compas|lsac|bank} [--rows N] [--seed S]\n"
                "        --out data.csv\n"
-               "        [--stream [--block-rows N]]   (write a chunked .ofcd file\n"
+               "        [--stream [--block-rows N>0]]   (write a chunked .ofcd file\n"
                "        block-by-block: 10M+ rows without holding them in RAM)\n"
                "  train --data data.csv --label COLUMN --sensitive COLUMN\n"
                "        [--metric sp] [--epsilon 0.05] [--model lr] [--seed S]\n"
-               "        [--stream]   (out-of-core: --data is a .ofcd chunked file,\n"
-               "        or a CSV ingested to <data>.ofcd first; lr + sp/mr/fpr/fnr)\n"
+               "        [--stream [--block-rows N>0]]   (out-of-core: --data is a\n"
+               "        .ofcd chunked file, or a CSV ingested to <data>.ofcd first;\n"
+               "        lr + sp/mr/fpr/fnr)\n"
                "        [--batch-size N>0] [--epochs N>0]\n"
                "        [--lr-schedule constant|invsqrt]   (--stream SGD only)\n"
                "        [--positive-label VALUE] [--out model.ofb]   (not with --stream)\n"
@@ -147,8 +159,8 @@ int RunSynth(const Args& args) {
     synthetic::StreamGenerateOptions options;
     options.num_rows = static_cast<size_t>(args.GetLong("rows", 0));
     options.seed = static_cast<uint64_t>(args.GetLong("seed", 42));
-    const long block_rows = args.GetLong("block-rows", 0);
-    if (block_rows > 0) options.block_rows = static_cast<size_t>(block_rows);
+    options.block_rows = static_cast<size_t>(
+        args.GetPositive("block-rows", static_cast<long>(options.block_rows)));
     auto stats = synthetic::GenerateSyntheticStream(MakeSchemaByName(name), out,
                                                     options);
     if (!stats.ok()) {
@@ -247,18 +259,12 @@ int RunStreamTrain(const Args& args, bool explain) {
     return 2;
   }
   tune.epsilon = args.GetDouble("epsilon", 0.05);
-  const long batch = args.GetLong("batch-size", 4096);
-  const long epochs = args.GetLong("epochs", 3);
-  for (const auto& [flag, value] : {std::pair{"batch-size", batch},
-                                    std::pair{"epochs", epochs}}) {
-    if (value <= 0 || value > std::numeric_limits<int>::max()) {
-      std::fprintf(stderr, "error: --%s must be a positive integer, got %ld\n",
-                   flag, value);
-      return 2;
-    }
-  }
-  tune.batch_size = static_cast<size_t>(batch);
-  tune.epochs = static_cast<int>(epochs);
+  tune.batch_size = static_cast<size_t>(
+      args.GetPositive("batch-size", static_cast<long>(tune.batch_size)));
+  tune.epochs = static_cast<int>(args.GetPositive("epochs", tune.epochs));
+  StreamIngestOptions ingest;
+  ingest.block_rows = static_cast<size_t>(
+      args.GetPositive("block-rows", static_cast<long>(ingest.block_rows)));
   tune.shuffle_seed = static_cast<uint64_t>(args.GetLong("seed", 42));
   const std::string schedule = args.Get("lr-schedule", "constant");
   if (schedule == "invsqrt") {
@@ -289,12 +295,9 @@ int RunStreamTrain(const Args& args, bool explain) {
   if (!is_chunked) {
     if (!args.Has("sensitive")) return Usage();
     chunked_path = data + ".ofcd";
-    StreamIngestOptions ingest;
     ingest.label_column = args.Get("label", "label");
     ingest.positive_label_value = args.Get("positive-label");
     ingest.group_column = args.Get("sensitive");
-    const long block_rows = args.GetLong("block-rows", 0);
-    if (block_rows > 0) ingest.block_rows = static_cast<size_t>(block_rows);
     RunStageTimer timer(profiling ? &profiler : nullptr, RunStage::kIngest);
     auto stats = StreamCsvToChunked(data, chunked_path, ingest);
     if (!stats.ok()) {
