@@ -135,38 +135,60 @@ double FairnessMetric::Evaluate(const Dataset& dataset,
   return value;
 }
 
+namespace {
+
+/// The one short name <-> MetricKind table.
+struct NamedMetric {
+  const char* name;
+  MetricKind kind;
+};
+constexpr NamedMetric kNamedMetrics[] = {
+    {"sp", MetricKind::kStatisticalParity},
+    {"mr", MetricKind::kMisclassificationRate},
+    {"fpr", MetricKind::kFalsePositiveRate},
+    {"fnr", MetricKind::kFalseNegativeRate},
+    {"for", MetricKind::kFalseOmissionRate},
+    {"fdr", MetricKind::kFalseDiscoveryRate},
+};
+
+}  // namespace
+
 std::unique_ptr<FairnessMetric> MakeMetric(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kStatisticalParity:
-      return std::make_unique<LabelCountMetric>(kind, "sp");
-    case MetricKind::kMisclassificationRate:
-      return std::make_unique<LabelCountMetric>(kind, "mr");
-    case MetricKind::kFalsePositiveRate:
-      return std::make_unique<LabelCountMetric>(kind, "fpr");
-    case MetricKind::kFalseNegativeRate:
-      return std::make_unique<LabelCountMetric>(kind, "fnr");
-    case MetricKind::kFalseOmissionRate:
-      return std::make_unique<PredictedValueRateMetric>(0, "for");
-    case MetricKind::kFalseDiscoveryRate:
-      return std::make_unique<PredictedValueRateMetric>(1, "fdr");
+  const NamedMetric* named = nullptr;
+  for (const NamedMetric& entry : kNamedMetrics) {
+    if (entry.kind == kind) named = &entry;
   }
-  OF_CHECK(false) << "unknown metric kind";
-  return nullptr;
+  OF_CHECK(named != nullptr) << "unknown metric kind";
+  switch (kind) {
+    case MetricKind::kFalseOmissionRate:
+      return std::make_unique<PredictedValueRateMetric>(0, named->name);
+    case MetricKind::kFalseDiscoveryRate:
+      return std::make_unique<PredictedValueRateMetric>(1, named->name);
+    default:
+      return std::make_unique<LabelCountMetric>(kind, named->name);
+  }
+}
+
+bool MetricKindByName(const std::string& name, MetricKind* kind) {
+  for (const NamedMetric& entry : kNamedMetrics) {
+    if (name == entry.name) {
+      *kind = entry.kind;
+      return true;
+    }
+  }
+  return false;
 }
 
 std::unique_ptr<FairnessMetric> MakeMetricByName(const std::string& name) {
-  if (name == "sp") return MakeMetric(MetricKind::kStatisticalParity);
-  if (name == "mr") return MakeMetric(MetricKind::kMisclassificationRate);
-  if (name == "fpr") return MakeMetric(MetricKind::kFalsePositiveRate);
-  if (name == "fnr") return MakeMetric(MetricKind::kFalseNegativeRate);
-  if (name == "for") return MakeMetric(MetricKind::kFalseOmissionRate);
-  if (name == "fdr") return MakeMetric(MetricKind::kFalseDiscoveryRate);
-  OF_CHECK(false) << "unknown metric name: " << name;
-  return nullptr;
+  MetricKind kind;
+  OF_CHECK(MetricKindByName(name, &kind)) << "unknown metric name: " << name;
+  return MakeMetric(kind);
 }
 
 std::vector<std::string> MetricNames() {
-  return {"sp", "mr", "fpr", "fnr", "for", "fdr"};
+  std::vector<std::string> names;
+  for (const NamedMetric& entry : kNamedMetrics) names.emplace_back(entry.name);
+  return names;
 }
 
 MetricCoefficients AverageErrorCostMetric::Coefficients(

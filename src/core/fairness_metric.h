@@ -79,9 +79,13 @@ struct LabelCoefficients {
 LabelCoefficients LabelCoefficientsOf(MetricKind kind, size_t negatives,
                                       size_t positives);
 
-/// Factory by short name: "sp", "mr", "fpr", "fnr", "for", "fdr". Aborts on
-/// unknown names (programmer error); callers holding user input check it
-/// against MetricNames() first.
+/// The kind with short name "sp", "mr", "fpr", "fnr", "for" or "fdr"; false
+/// for any other name.
+bool MetricKindByName(const std::string& name, MetricKind* kind);
+
+/// Factory by short name (MetricKindByName). Aborts on unknown names
+/// (programmer error); callers holding user input check it against
+/// MetricNames() first.
 std::unique_ptr<FairnessMetric> MakeMetricByName(const std::string& name);
 
 /// Every name MakeMetricByName accepts.

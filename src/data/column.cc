@@ -1,5 +1,7 @@
 #include "data/column.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace omnifair {
@@ -11,6 +13,25 @@ Column Column::Numeric(std::string name) {
 Column Column::Categorical(std::string name, std::vector<std::string> categories) {
   Column col(std::move(name), ColumnType::kCategorical);
   col.categories_ = std::move(categories);
+  return col;
+}
+
+Column Column::NumericOf(std::string name, std::vector<double> values) {
+  Column col(std::move(name), ColumnType::kNumeric);
+  col.values_ = std::move(values);
+  return col;
+}
+
+Column Column::CategoricalOf(std::string name, std::vector<std::string> categories,
+                             std::vector<int> codes) {
+  Column col = Categorical(std::move(name), std::move(categories));
+  const auto [lo, hi] = std::minmax_element(codes.begin(), codes.end());
+  if (lo != codes.end()) {
+    OF_CHECK_GE(*lo, 0) << "CategoricalOf " << col.name_;
+    OF_CHECK_LT(static_cast<size_t>(*hi), col.categories_.size())
+        << "CategoricalOf " << col.name_;
+  }
+  col.codes_ = std::move(codes);
   return col;
 }
 

@@ -24,6 +24,12 @@ class Column {
   static Column Numeric(std::string name);
   /// Creates an empty categorical column with a fixed category dictionary.
   static Column Categorical(std::string name, std::vector<std::string> categories);
+  /// A numeric column that takes `values` by move.
+  static Column NumericOf(std::string name, std::vector<double> values);
+  /// A categorical column that takes its dictionary and `codes` by move;
+  /// every code must index `categories`.
+  static Column CategoricalOf(std::string name, std::vector<std::string> categories,
+                              std::vector<int> codes);
 
   const std::string& name() const { return name_; }
   ColumnType type() const { return type_; }

@@ -99,7 +99,8 @@ Result<Dataset> ReadCsv(const std::string& path, const CsvReadOptions& options) 
   }
   CsvRowError row_error;
   Result<Dataset> dataset =
-      ParseCsvRecords(path, header, records, options, &row_error);
+      ParseCsvRecords(path, header, records, options, &row_error,
+                      /*max_parallelism=*/0);
   if (!dataset.ok()) {
     if (row_error.detail.empty()) return dataset.status();
     return Status::InvalidArgument(CsvErrorAt(path, file, row_error.offset) +

@@ -77,7 +77,9 @@ class CsvRecordScanner {
 /// data/stream_reader.h, falling back to SplitCsvRecord when it holds
 /// quotes or the wrong field count. Cells are
 /// whitespace-stripped one by one, so a trailing empty field survives a
-/// whitespace delimiter such as '\t'.
+/// whitespace delimiter such as '\t'. Rows are parsed in contiguous ranges
+/// on the shared thread pool (data/csv_parser.h); the Dataset is
+/// bit-identical at any thread count.
 ///
 /// Column types are inferred: a column is numeric iff every cell parses as
 /// a finite double (and it is not listed in force_categorical); otherwise
@@ -88,9 +90,9 @@ class CsvRecordScanner {
 /// non-numeric cells in force_numeric columns — fail with kInvalidArgument
 /// carrying "path:line: (byte N)" of the offending row, N being its
 /// starting byte offset, so failures inside multi-GB files are seekable.
-/// When several rows are bad, the error names the first of them in file
-/// order; within a row, a split failure comes first, then cells left to
-/// right.
+/// When several rows are bad — in the same parse range or not — the error
+/// names the first of them in file order; within a row, a split failure
+/// comes first, then cells left to right.
 Result<Dataset> ReadCsv(const std::string& path, const CsvReadOptions& options);
 
 /// Writes a Dataset (attributes + label column) as CSV with a header row.

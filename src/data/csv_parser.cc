@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 
 namespace omnifair {
 
@@ -331,29 +332,50 @@ std::string BadNumericDetail(std::string_view cell, const std::string& column) {
 
 namespace {
 
-/// One CSV column's values while the rows stream through.
-struct ColumnSink {
-  enum class Kind {
-    kLabel,
-    kInferred,  ///< numeric so far; the first non-numeric cell demotes it
-    kNumeric,   ///< force_numeric: a non-numeric cell is a row error
-    kCategorical,
-  };
-  Kind kind = Kind::kInferred;
-  std::vector<double> values;
-  std::vector<int> codes;
-  std::vector<std::string> categories;  // first-appearance order
+enum class ColumnKind {
+  kLabel,
+  kInferred,  ///< numeric so far; a non-numeric cell demotes it
+  kNumeric,   ///< force_numeric: a non-numeric cell is a row error
+  kCategorical,
+};
+
+/// Category text in first-appearance order, looked up by string_view.
+struct Dictionary {
+  std::vector<std::string> categories;
   CategoryCodes code_of;
 
-  void Intern(std::string_view cell) {
+  int Intern(std::string_view cell) {
     auto it = code_of.find(cell);
     if (it == code_of.end()) {
       it = code_of.emplace(std::string(cell), static_cast<int>(categories.size()))
                .first;
       categories.emplace_back(cell);
     }
-    codes.push_back(it->second);
+    return it->second;
   }
+  int Find(std::string_view cell) const {
+    const auto it = code_of.find(cell);
+    return it != code_of.end() ? it->second : -1;
+  }
+};
+
+/// Per-row split buffers.
+struct RowScratch {
+  explicit RowScratch(size_t ncols) : cells(ncols) {}
+  std::vector<std::string_view> cells;
+  std::vector<std::string> fields;
+  std::string detail;
+};
+
+/// What one parallel range met besides the values it wrote in place.
+struct RangeState {
+  /// Categories missing from the first range's dictionaries, in this range's
+  /// first-appearance order; a cell with local code i is stored as -1 - i.
+  std::vector<Dictionary> unseen;
+  /// Inferred columns that met a non-numeric cell.
+  std::vector<char> non_numeric;
+  size_t error_row = 0;
+  std::string error_detail;  ///< empty: no bad row in this range
 };
 
 bool Contains(const std::vector<std::string>& names, const std::string& name) {
@@ -366,7 +388,7 @@ Result<Dataset> ParseCsvRecords(const std::string& name,
                                 const std::vector<std::string>& header,
                                 const std::vector<CsvRecordRef>& records,
                                 const CsvReadOptions& options,
-                                CsvRowError* row_error) {
+                                CsvRowError* row_error, int max_parallelism) {
   const size_t ncols = header.size();
   const size_t rows = records.size();
   int label_index = -1;
@@ -377,11 +399,10 @@ Result<Dataset> ParseCsvRecords(const std::string& name,
     return Status::InvalidArgument("label column '" + options.label_column +
                                    "' not found in " + name);
   }
-  std::vector<ColumnSink> sinks(ncols);
+  std::vector<ColumnKind> kinds(ncols, ColumnKind::kInferred);
   for (size_t c = 0; c < ncols; ++c) {
-    ColumnSink& sink = sinks[c];
     if (static_cast<int>(c) == label_index) {
-      sink.kind = ColumnSink::Kind::kLabel;
+      kinds[c] = ColumnKind::kLabel;
       continue;
     }
     const bool forced_categorical = Contains(options.force_categorical, header[c]);
@@ -391,97 +412,199 @@ Result<Dataset> ParseCsvRecords(const std::string& name,
                                      "' listed in both force_categorical and "
                                      "force_numeric");
     }
-    if (forced_categorical) {
-      sink.kind = ColumnSink::Kind::kCategorical;
-      sink.codes.reserve(rows);
-    } else {
-      sink.kind = forced_numeric ? ColumnSink::Kind::kNumeric
-                                 : ColumnSink::Kind::kInferred;
-      sink.values.reserve(rows);
-    }
+    if (forced_categorical) kinds[c] = ColumnKind::kCategorical;
+    if (forced_numeric) kinds[c] = ColumnKind::kNumeric;
   }
 
+  // Each column's one array (values for numeric kinds, codes for categorical
+  // ones), written in place by row index, and its dictionary. An array is
+  // allocated once for every row but sized — and so touched — only as far
+  // as it has been written: the numeric array of a column demoted in the
+  // first range is freed with its pages past that range never touched.
+  std::vector<int> labels;
+  std::vector<std::vector<double>> values(ncols);
+  std::vector<std::vector<int>> codes(ncols);
+  std::vector<Dictionary> dictionaries(ncols);
+  auto size_array = [rows](auto& array, size_t size) {
+    array.reserve(rows);
+    array.resize(size);
+  };
+  auto size_columns = [&](size_t size) {
+    size_array(labels, size);
+    for (size_t c = 0; c < ncols; ++c) {
+      if (kinds[c] == ColumnKind::kCategorical) size_array(codes[c], size);
+      if (kinds[c] == ColumnKind::kInferred || kinds[c] == ColumnKind::kNumeric) {
+        size_array(values[c], size);
+      }
+    }
+  };
+  const size_t head = std::min(rows, kCsvRangeRows);
+  size_columns(head);
+
+  // Splits record `r` and writes its cells at row r. Categorical cells take
+  // code_of(c, cell); an inferred column's non-numeric cell goes to
+  // on_non_numeric(c, cell) instead. False on a bad row, with the detail in
+  // scratch->detail.
+  auto parse_row = [&](size_t r, RowScratch* scratch, auto&& code_of,
+                       auto&& on_non_numeric) {
+    if (!SplitCells(records[r].text, options.delimiter, ncols,
+                    scratch->cells.data(), &scratch->fields, &scratch->detail)) {
+      return false;
+    }
+    for (size_t c = 0; c < ncols; ++c) {
+      const std::string_view cell = StripWhitespace(scratch->cells[c]);
+      switch (kinds[c]) {
+        case ColumnKind::kLabel:
+          if (!ParseLabelCell(cell, options.positive_label_value, &labels[r])) {
+            scratch->detail = BadLabelDetail(cell);
+            return false;
+          }
+          break;
+        case ColumnKind::kNumeric:
+        case ColumnKind::kInferred:
+          if (ParseFiniteCell(cell, &values[c][r])) break;
+          if (kinds[c] == ColumnKind::kNumeric) {
+            scratch->detail = BadNumericDetail(cell, header[c]);
+            return false;
+          }
+          on_non_numeric(c, cell);
+          break;
+        case ColumnKind::kCategorical:
+          codes[c][r] = code_of(c, cell);
+          break;
+      }
+    }
+    return true;
+  };
   auto fail = [&](size_t r, std::string detail) {
     row_error->index = r;
     row_error->offset = records[r].offset;
     row_error->detail = std::move(detail);
     return Status::InvalidArgument(row_error->detail);
   };
-  // Demotes column `c` at row `r`: re-splits the earlier rows (they all split
-  // cleanly the first time) so the dictionary holds their original text in
+  // Demotes `demoted` columns, re-splitting rows [0, upto) (they all split
+  // cleanly the first time) so each dictionary holds the original text in
   // first-appearance order — "07" stays "07", not the number 7.
-  auto demote = [&](size_t c, size_t r) {
-    ColumnSink& sink = sinks[c];
-    sink.kind = ColumnSink::Kind::kCategorical;
-    std::vector<double>().swap(sink.values);
-    sink.codes.reserve(rows);
-    std::vector<std::string_view> cells(ncols);
-    std::vector<std::string> fields;
-    std::string unused;
-    for (size_t p = 0; p < r; ++p) {
-      SplitCells(records[p].text, options.delimiter, ncols, cells.data(),
-                 &fields, &unused);
-      sink.Intern(StripWhitespace(cells[c]));
+  auto demote = [&](const std::vector<size_t>& demoted, size_t upto) {
+    for (const size_t c : demoted) {
+      kinds[c] = ColumnKind::kCategorical;
+      const size_t size = values[c].size();
+      std::vector<double>().swap(values[c]);
+      size_array(codes[c], size);
+    }
+    RowScratch scratch(ncols);
+    for (size_t p = 0; p < upto; ++p) {
+      SplitCells(records[p].text, options.delimiter, ncols, scratch.cells.data(),
+                 &scratch.fields, &scratch.detail);
+      for (const size_t c : demoted) {
+        codes[c][p] = dictionaries[c].Intern(StripWhitespace(scratch.cells[c]));
+      }
     }
   };
 
-  std::vector<int> labels;
-  labels.reserve(rows);
-  std::vector<std::string_view> cells(ncols);
-  std::vector<std::string> fields;
-  std::string detail;
-  for (size_t r = 0; r < rows; ++r) {
-    if (!SplitCells(records[r].text, options.delimiter, ncols, cells.data(),
-                    &fields, &detail)) {
-      return fail(r, detail);
+  // The first range, serially: a column demoted here is categorical for
+  // every later range.
+  {
+    RowScratch scratch(ncols);
+    for (size_t r = 0; r < head; ++r) {
+      const bool ok = parse_row(
+          r, &scratch,
+          [&](size_t c, std::string_view cell) {
+            return dictionaries[c].Intern(cell);
+          },
+          [&](size_t c, std::string_view cell) {
+            demote({c}, r);
+            codes[c][r] = dictionaries[c].Intern(cell);
+          });
+      if (!ok) return fail(r, std::move(scratch.detail));
     }
-    for (size_t c = 0; c < ncols; ++c) {
-      const std::string_view cell = StripWhitespace(cells[c]);
-      ColumnSink& sink = sinks[c];
-      switch (sink.kind) {
-        case ColumnSink::Kind::kLabel: {
-          int label = 0;
-          if (!ParseLabelCell(cell, options.positive_label_value, &label)) {
-            return fail(r, BadLabelDetail(cell));
+  }
+
+  // The other ranges, in parallel, into the arrays now sized for every row.
+  // The first range's dictionaries are read-only here; a category they lack
+  // gets a range-local code until the merge below.
+  if (rows > head) {
+    size_columns(rows);
+    std::vector<RangeState> ranges((rows - head + kCsvRangeRows - 1) /
+                                   kCsvRangeRows);
+    for (RangeState& range : ranges) {
+      range.unseen.resize(ncols);
+      range.non_numeric.assign(ncols, 0);
+    }
+    ThreadPool::Global().ParallelForRanges(
+        head, rows, kCsvRangeRows,
+        [&](size_t begin, size_t end) {
+          RangeState& range = ranges[(begin - head) / kCsvRangeRows];
+          RowScratch scratch(ncols);
+          for (size_t r = begin; r < end; ++r) {
+            const bool ok = parse_row(
+                r, &scratch,
+                [&](size_t c, std::string_view cell) {
+                  const int code = dictionaries[c].Find(cell);
+                  return code >= 0 ? code : -1 - range.unseen[c].Intern(cell);
+                },
+                [&](size_t c, std::string_view) { range.non_numeric[c] = 1; });
+            if (!ok) {
+              range.error_row = r;
+              range.error_detail = std::move(scratch.detail);
+              return;
+            }
           }
-          labels.push_back(label);
-          break;
-        }
-        case ColumnSink::Kind::kNumeric:
-        case ColumnSink::Kind::kInferred: {
-          double value = 0.0;
-          if (ParseFiniteCell(cell, &value)) {
-            sink.values.push_back(value);
-          } else if (sink.kind == ColumnSink::Kind::kNumeric) {
-            return fail(r, BadNumericDetail(cell, header[c]));
-          } else {
-            demote(c, r);
-            sink.Intern(cell);
-          }
-          break;
-        }
-        case ColumnSink::Kind::kCategorical:
-          sink.Intern(cell);
-          break;
+        },
+        max_parallelism);
+
+    // Ranges cover rows in order, so the first one with a bad row holds the
+    // earliest.
+    for (RangeState& range : ranges) {
+      if (!range.error_detail.empty()) {
+        return fail(range.error_row, std::move(range.error_detail));
       }
     }
+    // Merge the unseen categories in range order (first appearance over the
+    // whole file) and rewrite their local codes.
+    std::vector<int> remap;
+    for (size_t k = 0; k < ranges.size(); ++k) {
+      const size_t begin = head + k * kCsvRangeRows;
+      const size_t end = std::min(rows, begin + kCsvRangeRows);
+      for (size_t c = 0; c < ncols; ++c) {
+        const std::vector<std::string>& unseen = ranges[k].unseen[c].categories;
+        if (unseen.empty()) continue;
+        remap.clear();
+        for (const std::string& category : unseen) {
+          remap.push_back(dictionaries[c].Intern(category));
+        }
+        for (size_t r = begin; r < end; ++r) {
+          int& code = codes[c][r];
+          if (code < 0) code = remap[static_cast<size_t>(-1 - code)];
+        }
+      }
+    }
+    // A column that stayed numeric through the first range but not after it
+    // is demoted in one serial re-pass over every row.
+    std::vector<size_t> late;
+    for (size_t c = 0; c < ncols; ++c) {
+      if (kinds[c] != ColumnKind::kInferred) continue;
+      for (const RangeState& range : ranges) {
+        if (range.non_numeric[c] != 0) {
+          late.push_back(c);
+          break;
+        }
+      }
+    }
+    if (!late.empty()) demote(late, rows);
   }
 
   Dataset dataset(name);
   dataset.set_label_name(options.label_column);
   for (size_t c = 0; c < ncols; ++c) {
-    ColumnSink& sink = sinks[c];
-    if (sink.kind == ColumnSink::Kind::kLabel) continue;
-    if (sink.kind == ColumnSink::Kind::kCategorical) {
-      Column column = Column::Categorical(header[c], std::move(sink.categories));
-      for (const int code : sink.codes) column.AppendCode(code);
-      dataset.AddColumn(std::move(column));
+    if (kinds[c] == ColumnKind::kLabel) continue;
+    if (kinds[c] == ColumnKind::kCategorical) {
+      dataset.AddColumn(Column::CategoricalOf(
+          header[c], std::move(dictionaries[c].categories), std::move(codes[c])));
     } else {
-      Column column = Column::Numeric(header[c]);
-      for (const double value : sink.values) column.AppendNumeric(value);
-      dataset.AddColumn(std::move(column));
+      dataset.AddColumn(Column::NumericOf(header[c], std::move(values[c])));
     }
-    sink = ColumnSink{};  // free this column before copying the next
+    dictionaries[c] = Dictionary{};
   }
   dataset.SetLabels(std::move(labels));
   Status status = dataset.Validate();

@@ -117,17 +117,33 @@ struct CsvRowError {
   std::string detail;   ///< what is wrong, without a location prefix
 };
 
+/// Rows per parse range: the unit of parallel work in ParseCsvRecords and in
+/// the streaming ingest's block parse. The cuts depend only on the row
+/// count, never on the thread count.
+inline constexpr size_t kCsvRangeRows = 4096;
+
 /// Parses data records (header excluded, blank records dropped) into a
 /// Dataset named `name`, one column per `header` name except the label's,
 /// by ReadCsv's rules (data/csv.h). Column-level problems (no label column,
 /// conflicting force lists) return kInvalidArgument. A bad row stops the
-/// parse with kInvalidArgument and fills `*row_error`; the caller prefixes
-/// its own location.
+/// parse with kInvalidArgument and fills `*row_error` with the earliest bad
+/// row; the caller prefixes its own location.
+///
+/// Rows are parsed in kCsvRangeRows ranges. The first range runs serially
+/// and fixes each column's kind (an inferred column demoted there is
+/// categorical from then on). The other ranges run on the thread pool with
+/// up to `max_parallelism` threads (0 = the whole pool), each writing
+/// straight into the columns' final arrays; a category missing from the
+/// first range's dictionary gets a range-local code, and the local
+/// dictionaries are merged in range order, so codes keep first-appearance
+/// order. An inferred column that meets a non-numeric cell only after the
+/// first range is demoted by one serial re-pass that interns every row's
+/// original text. The Dataset is bit-identical at any `max_parallelism`.
 Result<Dataset> ParseCsvRecords(const std::string& name,
                                 const std::vector<std::string>& header,
                                 const std::vector<CsvRecordRef>& records,
                                 const CsvReadOptions& options,
-                                CsvRowError* row_error);
+                                CsvRowError* row_error, int max_parallelism);
 
 }  // namespace omnifair
 

@@ -254,7 +254,8 @@ class StreamIngestor {
     }
     CsvRowError row_error;
     Result<Dataset> block =
-        ParseCsvRecords(csv_path_, header_, records, read_options, &row_error);
+        ParseCsvRecords(csv_path_, header_, records, read_options, &row_error,
+                        options_.num_threads);
     if (!block.ok()) {
       if (row_error.detail.empty()) return block.status();
       return Status::InvalidArgument(
@@ -319,8 +320,9 @@ class StreamIngestor {
   /// Steady-state block parse: splits each record in place (no per-cell
   /// allocation on the quote-free fast path) and encodes cells straight into
   /// the packed block streams — numeric floats and categorical u16 codes,
-  /// never a dense matrix. Rows land in preassigned slots, so output stays
-  /// bit-identical at any thread count.
+  /// never a dense matrix. Pool threads claim kCsvRangeRows-row ranges, so
+  /// adjacent rows' slots are written by one thread; rows land in
+  /// preassigned slots, so output stays bit-identical at any thread count.
   Status FastParseBlock(CompactBlock* out) {
     const size_t rows = pending_.rows();
     const size_t ncols = header_.size();
@@ -339,15 +341,13 @@ class StreamIngestor {
                                                 pending_.offsets[r]) +
                                   " " + detail));
     };
-    auto parse_row = [&](size_t r) {
-      thread_local std::vector<std::string_view> cells;
-      thread_local std::vector<std::string> fields;
-      thread_local std::string detail;
-      cells.resize(ncols);
+    // False after reporting a bad row.
+    auto parse_row = [&](size_t r, std::vector<std::string_view>& cells,
+                         std::vector<std::string>& fields, std::string& detail) {
       if (!SplitCells(RecordAt(r), options_.delimiter, ncols, cells.data(),
                       &fields, &detail)) {
         fail(r, detail);
-        return;
+        return false;
       }
       float* float_row = out->floats.data() + r * floats_per_row;
       uint16_t* code_row = out->codes.data() + r * codes_per_row;
@@ -358,7 +358,7 @@ class StreamIngestor {
           int label = 0;
           if (!ParseLabelCell(cell, options_.positive_label_value, &label)) {
             fail(r, BadLabelDetail(cell));
-            return;
+            return false;
           }
           out->labels[r] = static_cast<uint8_t>(label);
         } else if (columns_[c].categorical) {
@@ -376,15 +376,28 @@ class StreamIngestor {
           double value = 0.0;
           if (!ParseFiniteCell(cell, &value)) {
             fail(r, BadNumericDetail(cell, header_[c]));
-            return;
+            return false;
           }
           if (!encode.in_features) continue;
           if (encode.standardize) value = (value - encode.mean) / encode.stddev;
           float_row[encode.compact] = static_cast<float>(value);
         }
       }
+      return true;
     };
-    ThreadPool::Global().ParallelFor(rows, parse_row, options_.num_threads);
+    // A range stops at its first bad row; FirstError keeps the earliest
+    // over all ranges.
+    ThreadPool::Global().ParallelForRanges(
+        0, rows, kCsvRangeRows,
+        [&](size_t begin, size_t end) {
+          std::vector<std::string_view> cells(ncols);
+          std::vector<std::string> fields;
+          std::string detail;
+          for (size_t r = begin; r < end; ++r) {
+            if (!parse_row(r, cells, fields, detail)) return;
+          }
+        },
+        options_.num_threads);
     if (first_error.set) return first_error.status;
     return Status::Ok();
   }

@@ -24,10 +24,15 @@ namespace omnifair {
 // plus one encoded block, independent of file size, so a 10M-row file never
 // holds raw text and encoded features in RAM at once.
 //
+// Each block is parsed on the pool in kCsvRangeRows-row ranges
+// (data/csv_parser.h) whose cuts depend only on the block's row count, and
+// every row lands in a preassigned slot, so the output file is byte-identical
+// at any num_threads.
+//
 // Streaming-encode compromise: the feature encoder (standardization
 // statistics, one-hot dictionaries) is fitted on the FIRST block only, which
-// goes through ReadCsv's parser (group column forced categorical) before it
-// is packed like every other block. Categories first seen in later blocks
+// goes through ReadCsv's parser (group column forced categorical, same range
+// parallelism) before it is packed like every other block. Categories first seen in later blocks
 // encode as all-zero one-hot rows —
 // the same treatment FeatureEncoder::Transform gives unseen validation
 // categories. Make the first block representative (the default 65536 rows
@@ -55,8 +60,9 @@ struct StreamIngestOptions {
   bool use_mmap = true;
   /// Bytes per read(2) chunk on the fallback path.
   size_t read_chunk_bytes = 1 << 20;
-  /// Parse parallelism within a block; 0 = the global pool's width. Output
-  /// is bit-identical at any setting (rows land in preassigned slots).
+  /// Parse parallelism within a block (block 0's fit included); 0 = the
+  /// global pool's width. Output is bit-identical at any setting (row ranges
+  /// land in preassigned slots).
   int num_threads = 0;
   /// Encoder settings.
   EncoderOptions encoder;

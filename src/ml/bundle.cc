@@ -839,18 +839,8 @@ class FlatForestModel final : public FlatTreeBase {
         for (size_t i = begin; i < end; ++i) proba[i] += TreeLeaf(t, X.RowF(i));
       }
     };
-    if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
-      accumulate_rows(0, n);
-    } else {
-      const size_t chunks = (n + kPredictChunkRows - 1) / kPredictChunkRows;
-      ThreadPool::Global().ParallelFor(
-          chunks,
-          [&](size_t c) {
-            const size_t begin = c * kPredictChunkRows;
-            accumulate_rows(begin, std::min(n, begin + kPredictChunkRows));
-          },
-          num_threads_);
-    }
+    ThreadPool::Global().ParallelForRanges(0, n, kPredictChunkRows,
+                                           accumulate_rows, num_threads_);
     const double inv = 1.0 / static_cast<double>(trees_.num_trees);
     for (double& p : proba) p *= inv;
     return proba;
@@ -904,18 +894,8 @@ class FlatGbdtModel final : public FlatTreeBase {
     auto score_rows = [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) raw[i] = RawRow(X.RowF(i));
     };
-    if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
-      score_rows(0, n);
-    } else {
-      const size_t chunks = (n + kPredictChunkRows - 1) / kPredictChunkRows;
-      ThreadPool::Global().ParallelFor(
-          chunks,
-          [&](size_t c) {
-            const size_t begin = c * kPredictChunkRows;
-            score_rows(begin, std::min(n, begin + kPredictChunkRows));
-          },
-          num_threads_);
-    }
+    ThreadPool::Global().ParallelForRanges(0, n, kPredictChunkRows, score_rows,
+                                           num_threads_);
     return raw;
   }
 

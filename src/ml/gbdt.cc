@@ -180,21 +180,10 @@ std::vector<double> GbdtModel::PredictRaw(const Matrix& X) const {
   auto score_rows = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) raw[i] = PredictRawRow(X.RowF(i));
   };
-  if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
-    score_rows(0, n);
-  } else {
-    // Disjoint row chunks: no write overlap, and each row still sums its
-    // trees in index order, so the result matches the serial path bit for
-    // bit.
-    const size_t chunks = (n + kPredictChunkRows - 1) / kPredictChunkRows;
-    ThreadPool::Global().ParallelFor(
-        chunks,
-        [&](size_t c) {
-          const size_t begin = c * kPredictChunkRows;
-          score_rows(begin, std::min(n, begin + kPredictChunkRows));
-        },
-        num_threads_);
-  }
+  // Disjoint row chunks: no write overlap, and each row still sums its trees
+  // in index order, so the result matches the serial path bit for bit.
+  ThreadPool::Global().ParallelForRanges(0, n, kPredictChunkRows, score_rows,
+                                         num_threads_);
   return raw;
 }
 

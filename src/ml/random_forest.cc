@@ -29,21 +29,10 @@ std::vector<double> RandomForestModel::PredictProba(const Matrix& X) const {
   auto accumulate_rows = [&](size_t begin, size_t end) {
     for (const auto& tree : trees_) tree->AccumulateProba(X, begin, end, proba);
   };
-  if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
-    accumulate_rows(0, n);
-  } else {
-    // Disjoint row chunks: no write overlap, and each row still sums its
-    // trees in index order, so the result matches the serial path bit for
-    // bit.
-    const size_t chunks = (n + kPredictChunkRows - 1) / kPredictChunkRows;
-    ThreadPool::Global().ParallelFor(
-        chunks,
-        [&](size_t c) {
-          const size_t begin = c * kPredictChunkRows;
-          accumulate_rows(begin, std::min(n, begin + kPredictChunkRows));
-        },
-        num_threads_);
-  }
+  // Disjoint row chunks: no write overlap, and each row still sums its trees
+  // in index order, so the result matches the serial path bit for bit.
+  ThreadPool::Global().ParallelForRanges(0, n, kPredictChunkRows,
+                                         accumulate_rows, num_threads_);
   const double inv = 1.0 / static_cast<double>(trees_.size());
   for (double& p : proba) p *= inv;
   return proba;

@@ -1,6 +1,7 @@
 #ifndef OMNIFAIR_UTIL_THREAD_POOL_H_
 #define OMNIFAIR_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -59,6 +60,8 @@ class ThreadPool {
   /// `max_parallelism - 1` pool workers (0 = use the whole pool). Iterations
   /// are claimed one at a time from a shared atomic index, so the set of
   /// executed indices is exactly [0, n) regardless of thread interleaving.
+  /// Each index costs one atomic claim and one std::function call, so keep
+  /// bodies coarse; ParallelForRanges batches fine-grained loops.
   ///
   /// If any invocation throws, remaining unclaimed iterations are abandoned
   /// and the first exception (by claim order observed) is rethrown on the
@@ -69,6 +72,29 @@ class ThreadPool {
   /// code path.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body,
                    int max_parallelism = 0);
+
+  /// ParallelFor over [begin, end) cut into consecutive ranges of `grain`
+  /// indices (grain > 0; the last range may be shorter): body(range_begin,
+  /// range_end) runs once per range. The cuts depend only on begin, end and
+  /// grain — never on the thread count — so a body that writes only its own
+  /// range gives the same result at any parallelism. A single range runs
+  /// inline on the caller.
+  template <typename Body>
+  void ParallelForRanges(size_t begin, size_t end, size_t grain, Body&& body,
+                         int max_parallelism = 0) {
+    if (end <= begin) return;
+    if (end - begin <= grain) {
+      body(begin, end);
+      return;
+    }
+    ParallelFor(
+        (end - begin + grain - 1) / grain,
+        [&](size_t k) {
+          const size_t range_begin = begin + k * grain;
+          body(range_begin, std::min(end, range_begin + grain));
+        },
+        max_parallelism);
+  }
 
  private:
   struct Queue {

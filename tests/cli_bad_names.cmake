@@ -47,9 +47,13 @@ expect_usage_error("synth --rows 1e3" "--rows '1e3'"
 file(REMOVE ${data}.ofcd)
 expect_usage_error("train --stream --out" "--out is not supported with --stream"
                    train ${common} --stream --out ${OUT_DIR}/stream.ofb)
+# FOR/FDR weights depend on predictions, which the streaming tuner lacks.
+expect_usage_error("train --stream --metric for"
+                   "--stream supports prediction-independent metrics only (sp|mr|fpr|fnr)"
+                   train ${common} --stream --metric for)
 # Rejected before ingest: no chunked spill next to the CSV.
 if(EXISTS ${data}.ofcd)
-  message(FATAL_ERROR "train --stream --out ingested ${data}.ofcd before failing")
+  message(FATAL_ERROR "train --stream --out or --metric for ingested ${data}.ofcd before failing")
 endif()
 # The mini-batch SGD knobs belong to the streaming tuner; in memory every
 # model trains on its own full-data solver, so they are refused there.

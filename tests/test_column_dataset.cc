@@ -24,6 +24,20 @@ TEST(ColumnTest, CategoricalByCode) {
   EXPECT_EQ(col.Code(1), 0);
 }
 
+TEST(ColumnTest, ArraysTakenByMoveAndCodesRangeChecked) {
+  std::vector<double> values = {1.5, -2.0};
+  const double* data = values.data();
+  const Column age = Column::NumericOf("age", std::move(values));
+  EXPECT_EQ(age.numeric_values().data(), data);  // moved, not copied
+  EXPECT_EQ(age.size(), 2u);
+
+  const Column race = Column::CategoricalOf("race", {"A", "B"}, {1, 0, 1});
+  EXPECT_EQ(race.CategoryOf(0), "B");
+  EXPECT_EQ(race.Code(1), 0);
+  EXPECT_DEATH(Column::CategoricalOf("race", {"A", "B"}, {0, 2}), "race");
+  EXPECT_DEATH(Column::CategoricalOf("race", {"A"}, {-1}), "race");
+}
+
 TEST(ColumnTest, AppendCategoryRegistersNew) {
   Column col = Column::Categorical("city", {});
   col.AppendCategory("NYC");

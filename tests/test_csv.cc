@@ -270,6 +270,112 @@ void ExpectSameDataset(const Dataset& expected, const Dataset& actual) {
   }
 }
 
+/// Runs ParseCsvRecords on `content` (a header record, then data records;
+/// blank ones dropped as ReadCsv drops them) at max_parallelism 1 and 0.
+/// Both must give the same Dataset, or fail on the same row with the same
+/// detail; returns the max_parallelism 1 result.
+Result<Dataset> ParseAtParallelism1And0(const std::string& content,
+                                        const CsvReadOptions& options,
+                                        CsvRowError* row_error) {
+  std::vector<std::string> header;
+  std::vector<CsvRecordRef> records;
+  size_t dangling = 0;
+  const bool terminated = ScanMapped(
+      content,
+      [&](std::string_view record, uint64_t offset) {
+        if (header.empty()) {
+          EXPECT_TRUE(SplitCsvHeader(record, options.delimiter, &header));
+        } else if (!StripWhitespace(record).empty()) {
+          records.push_back({record, offset});
+        }
+      },
+      &dangling);
+  EXPECT_TRUE(terminated);
+  EXPECT_GT(records.size(), 2 * kCsvRangeRows) << "fewer than 3 parse ranges";
+  Result<Dataset> serial =
+      ParseCsvRecords("records", header, records, options, row_error, 1);
+  CsvRowError parallel_error;
+  Result<Dataset> parallel =
+      ParseCsvRecords("records", header, records, options, &parallel_error, 0);
+  EXPECT_EQ(serial.ok(), parallel.ok());
+  if (serial.ok() && parallel.ok()) {
+    ExpectSameDataset(*serial, *parallel);
+  } else {
+    EXPECT_EQ(serial.status().message(), parallel.status().message());
+    EXPECT_EQ(row_error->index, parallel_error.index);
+    EXPECT_EQ(row_error->offset, parallel_error.offset);
+    EXPECT_EQ(row_error->detail, parallel_error.detail);
+  }
+  return serial;
+}
+
+/// `rows` records of "x,cat,label" where row r is `cell(r)`'s text.
+template <typename CellFn>
+std::string RangeCsv(size_t rows, CellFn cell) {
+  std::string content = "x,cat,label\n";
+  for (size_t r = 0; r < rows; ++r) content += cell(r) + "\n";
+  return content;
+}
+
+TEST(CsvTest, CategoryFirstSeenInLastRangeKeepsFirstAppearanceOrder) {
+  // "mid" appears only in the second range and "late" only in the last; the
+  // merged dictionary lists them after the first range's categories, in
+  // that order.
+  const size_t rows = 3 * kCsvRangeRows + 40;
+  const size_t mid_row = kCsvRangeRows + 9;
+  const size_t late_row = 3 * kCsvRangeRows + 12;
+  auto category = [&](size_t r) -> std::string {
+    if (r >= late_row && r % 2 == 0) return "late";
+    if (r >= mid_row && r < 2 * kCsvRangeRows && r % 5 == 0) return "mid";
+    return r % 3 == 0 ? "b" : "a";
+  };
+  const std::string content = RangeCsv(rows, [&](size_t r) {
+    return std::to_string(r % 13) + ", " + category(r) + " ," + std::to_string(r % 2);
+  });
+  CsvRowError row_error;
+  Result<Dataset> result = ParseAtParallelism1And0(content, {}, &row_error);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const Column& cat = result->ColumnByName("cat");
+  ASSERT_EQ(cat.type(), ColumnType::kCategorical);
+  EXPECT_EQ(cat.categories(),
+            (std::vector<std::string>{"b", "a", "mid", "late"}));
+  for (size_t r = 0; r < rows; ++r) ASSERT_EQ(cat.CategoryOf(r), category(r)) << r;
+}
+
+TEST(CsvTest, ForcedNumericErrorInLaterRangeIsReported) {
+  const size_t rows = 3 * kCsvRangeRows + 5;
+  const size_t bad_row = 2 * kCsvRangeRows + 321;
+  const std::string content = RangeCsv(rows, [&](size_t r) {
+    return (r == bad_row ? std::string("oops") : std::to_string(r)) + ",a," +
+           std::to_string(r % 2);
+  });
+  CsvReadOptions options;
+  options.force_numeric = {"x"};
+  CsvRowError row_error;
+  Result<Dataset> result = ParseAtParallelism1And0(content, options, &row_error);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(row_error.index, bad_row);
+  EXPECT_EQ(row_error.detail, BadNumericDetail("oops", "x"));
+}
+
+TEST(CsvTest, EarlierOfTwoBadRowsInDifferentRangesIsReported) {
+  // A bad label near the end of the second range and a ragged row at the
+  // start of the fourth: the earlier one is reported whichever range a
+  // thread finishes first.
+  const size_t rows = 4 * kCsvRangeRows;
+  const size_t bad_label = 2 * kCsvRangeRows - 3;
+  const size_t ragged = 3 * kCsvRangeRows + 1;
+  const std::string content = RangeCsv(rows, [&](size_t r) -> std::string {
+    if (r == ragged) return "1,a,0,extra";
+    return std::to_string(r) + ",a," + (r == bad_label ? "yes" : "1");
+  });
+  CsvRowError row_error;
+  Result<Dataset> result = ParseAtParallelism1And0(content, {}, &row_error);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(row_error.index, bad_label);
+  EXPECT_EQ(row_error.detail, BadLabelDetail("yes"));
+}
+
 TEST(CsvTest, FifoInputMatchesRegularFile) {
   // A pipe cannot be mapped: ReadCsv falls back to read(2) of the whole
   // input and must produce the same Dataset. The content spans many pipe
@@ -345,9 +451,13 @@ TEST(CsvTest, ReadCsvMatchesSplitCsvRecordReference) {
     const std::vector<std::string> header = {"num", "cat", "mixed", "label"};
     std::vector<std::string> records;
     std::string content = " num , cat,mixed,label\r\n";
-    for (int r = 0; r < 300; ++r) {
+    // Past three parse ranges; seed 3's "mixed" column is demoted only after
+    // the first range, seeds 1 and 5 demote it inside the first range.
+    const int rows = 3 * static_cast<int>(kCsvRangeRows) + 300;
+    const int demote_at = seed == 3 ? 2 * static_cast<int>(kCsvRangeRows) + 17 : 250;
+    for (int r = 0; r < rows; ++r) {
       if (rng.NextBounded(10) == 0) content += rng.NextBounded(2) ? "\n" : "  \r\n";
-      const bool mixed_numeric = seed % 2 == 0 || r < 250;
+      const bool mixed_numeric = seed % 2 == 0 || r < demote_at;
       std::string record = RandomCell(rng, true) + "," + RandomCell(rng, false) +
                            "," + RandomCell(rng, mixed_numeric) + "," +
                            (rng.NextBounded(4) == 0 ? " " : "") +
@@ -359,6 +469,10 @@ TEST(CsvTest, ReadCsvMatchesSplitCsvRecordReference) {
     WriteFile(path, content);
     Result<Dataset> actual = ReadCsv(path, CsvReadOptions{});
     ASSERT_TRUE(actual.ok()) << actual.status();
+    CsvRowError row_error;
+    Result<Dataset> serial = ParseAtParallelism1And0(content, {}, &row_error);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    ExpectSameDataset(*serial, *actual);
 
     std::vector<std::vector<std::string>> cells(header.size());
     for (const std::string& record : records) {

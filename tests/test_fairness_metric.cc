@@ -106,7 +106,13 @@ TEST(FairnessMetricTest, Names) {
   EXPECT_EQ(MakeMetricByName("fdr")->Name(), "fdr");
   for (const std::string& name : MetricNames()) {
     EXPECT_EQ(MakeMetricByName(name)->Name(), name);
+    MetricKind kind;
+    ASSERT_TRUE(MetricKindByName(name, &kind)) << name;
+    EXPECT_EQ(MakeMetric(kind)->Name(), name);
   }
+  MetricKind kind;
+  EXPECT_FALSE(MetricKindByName("bogus", &kind));
+  EXPECT_FALSE(MetricKindByName("SP", &kind));
 }
 
 TEST(FairnessMetricTest, AecMatchesCostDefinition) {

@@ -9,6 +9,7 @@
 
 #include "data/chunked_dataset.h"
 #include "data/csv.h"
+#include "data/csv_parser.h"
 #include "data/datasets.h"
 #include "data/encoder.h"
 #include "data/synthetic_stream.h"
@@ -216,13 +217,26 @@ TEST(StreamIngestTest, TinyReadChunksAndBlocksStillParse) {
 }
 
 TEST(StreamIngestTest, ParallelParseIsByteIdenticalToSerial) {
+  // Three blocks of three or more parse ranges each, so every block (block
+  // 0's fit included) is parsed by several range tasks. Group "c" first
+  // appears in the last block, "d" in a late range of block 0.
+  const size_t block_rows = 3 * kCsvRangeRows + 100;
+  std::string content = "age,grp,score,label\n";
+  for (size_t r = 0; r < 3 * block_rows - 50; ++r) {
+    const char* group = r == 2 * block_rows + 7     ? "c"
+                        : r == 3 * kCsvRangeRows + 5 ? "d"
+                        : r % 3 == 0                 ? "b"
+                                                     : "a";
+    content += std::to_string(20 + r % 47) + "," + group + "," +
+               std::to_string(r % 11) + ".25," + std::to_string(r % 2) + "\n";
+  }
   const std::string csv = TempPath("ingest_det.csv");
-  WriteFile(csv, BasicCsv());
+  WriteFile(csv, content);
 
   const std::string serial_out = TempPath("ingest_det_serial.ofcd");
   const std::string parallel_out = TempPath("ingest_det_parallel.ofcd");
   StreamIngestOptions options = BasicIngestOptions();
-  options.block_rows = 2;
+  options.block_rows = block_rows;
   options.num_threads = 1;
   ASSERT_TRUE(StreamCsvToChunked(csv, serial_out, options).ok());
   options.num_threads = 0;  // full pool width

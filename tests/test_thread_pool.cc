@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,6 +109,35 @@ TEST(ThreadPool, ParallelForZeroAndOneIterationDegenerateCases) {
   EXPECT_EQ(calls, 0);
   pool.ParallelFor(1, [&calls](size_t i) { calls += static_cast<int>(i) + 1; });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPool, ParallelForRangesCutsDependOnlyOnBoundsAndGrain) {
+  // [5, 1005) in grains of 64: 15 full ranges and a 40-index tail, each
+  // index covered once, with the same cuts inline and on the pool.
+  ThreadPool pool(4);
+  for (const int parallelism : {1, 0}) {
+    std::mutex mu;
+    std::set<std::pair<size_t, size_t>> cuts;
+    std::vector<std::atomic<int>> hits(1005);
+    for (auto& h : hits) h.store(0);
+    pool.ParallelForRanges(
+        5, 1005, 64,
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+          std::lock_guard<std::mutex> lock(mu);
+          cuts.emplace(begin, end);
+        },
+        parallelism);
+    ASSERT_EQ(cuts.size(), 16u);
+    EXPECT_EQ(*cuts.begin(), std::make_pair(size_t{5}, size_t{69}));
+    EXPECT_EQ(*cuts.rbegin(), std::make_pair(size_t{965}, size_t{1005}));
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), i < 5 ? 0 : 1) << "index " << i;
+    }
+  }
+  int calls = 0;
+  pool.ParallelForRanges(7, 7, 64, [&calls](size_t, size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(ThreadPool, ParallelForRethrowsBodyExceptionAndStaysUsable) {

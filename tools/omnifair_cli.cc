@@ -216,14 +216,6 @@ bool CheckName(const char* flag, const std::string& value,
   return false;
 }
 
-bool MetricKindByName(const std::string& name, MetricKind* out) {
-  if (name == "sp") { *out = MetricKind::kStatisticalParity; return true; }
-  if (name == "mr") { *out = MetricKind::kMisclassificationRate; return true; }
-  if (name == "fpr") { *out = MetricKind::kFalsePositiveRate; return true; }
-  if (name == "fnr") { *out = MetricKind::kFalseNegativeRate; return true; }
-  return false;
-}
-
 /// Index of a --group1/--group2 name in the chunked file's dictionary;
 /// falls back to `fallback` when the flag is absent.
 int ResolveGroupIndex(const std::vector<std::string>& names,
@@ -252,7 +244,8 @@ int RunStreamTrain(const Args& args, bool explain) {
     return 2;
   }
   StreamTuneOptions tune;
-  if (!MetricKindByName(args.Get("metric", "sp"), &tune.metric)) {
+  if (!MetricKindByName(args.Get("metric", "sp"), &tune.metric) ||
+      MakeMetric(tune.metric)->DependsOnPredictions()) {
     std::fprintf(stderr,
                  "error: --stream supports prediction-independent metrics "
                  "only (sp|mr|fpr|fnr)\n");

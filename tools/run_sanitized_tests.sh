@@ -24,7 +24,9 @@
 #                          ingest + tuner (test_stream_reader /
 #                          test_stream_tune: pool-parallel block parsing
 #                          and mini-batch SGD must be bit-identical at any
-#                          thread count). TSan is incompatible with ASan,
+#                          thread count), and the CSV parser (test_csv:
+#                          row ranges parsed on the pool, dictionaries
+#                          merged after). TSan is incompatible with ASan,
 #                          hence the separate tree and mode.
 #
 # Usage: [OMNIFAIR_SANITIZE=thread] tools/run_sanitized_tests.sh [extra ctest args...]
